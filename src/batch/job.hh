@@ -50,7 +50,6 @@ enum class JobClass
     Crash,        ///< died on a signal (or an unknown exit code)
     Spawn,        ///< fork/exec failed (exit 127 or pipe error)
     Resource,     ///< transient host exhaustion (ENOSPC/EAGAIN/...)
-    Canceled,     ///< canceled via the service before completion
 };
 
 const char *jobClassName(JobClass cls);
@@ -186,12 +185,6 @@ struct JobRecord
     /// Served from the result cache instead of simulated; `seconds`
     /// is then the hit latency, not a simulation time.
     bool cached = false;
-    /// @{ Service-mode scheduling attributes (see src/svc): higher
-    ///    priority launches first; within a priority class, tenants
-    ///    share worker slots round-robin.
-    std::string tenant;
-    int priority = 0;
-    /// @}
 };
 
 /**

@@ -81,11 +81,9 @@ const char *
 journalEventKindName(JournalEvent::Kind kind)
 {
     switch (kind) {
-      case JournalEvent::Kind::Submit: return "submit";
       case JournalEvent::Kind::Launch: return "launch";
       case JournalEvent::Kind::Result: return "result";
       case JournalEvent::Kind::Final:  return "final";
-      case JournalEvent::Kind::Cancel: return "cancel";
     }
     return "?";
 }
@@ -233,16 +231,7 @@ SweepJournal::append(JournalEvent &event, bool durable)
         jw.field("event", journalEventKindName(event.kind));
         jw.field("job", (int64_t)event.job);
         jw.field("attempt", (int64_t)event.attempt);
-        if (event.kind == JournalEvent::Kind::Submit) {
-            jw.beginArray("spec");
-            for (const std::string &flag : event.spec)
-                jw.field("", flag);
-            jw.endArray();
-            if (!event.tenant.empty())
-                jw.field("tenant", event.tenant);
-            if (event.priority != 0)
-                jw.field("priority", (int64_t)event.priority);
-        } else if (event.kind != JournalEvent::Kind::Launch) {
+        if (event.kind != JournalEvent::Kind::Launch) {
             jw.field("class", jobClassName(event.cls));
             jw.field("exit", (int64_t)event.exitCode);
             jw.field("signal", (int64_t)event.termSignal);
@@ -328,16 +317,12 @@ SweepJournal::replay(const std::string &dir)
                                  " has no event field").withFile(path);
         }
         const std::string &k = kind->asString();
-        if (k == "submit") {
-            ev.kind = JournalEvent::Kind::Submit;
-        } else if (k == "launch") {
+        if (k == "launch") {
             ev.kind = JournalEvent::Kind::Launch;
         } else if (k == "result") {
             ev.kind = JournalEvent::Kind::Result;
         } else if (k == "final") {
             ev.kind = JournalEvent::Kind::Final;
-        } else if (k == "cancel") {
-            ev.kind = JournalEvent::Kind::Cancel;
         } else {
             return Status::error("journal line " +
                                  std::to_string(lineno) +
@@ -366,14 +351,6 @@ SweepJournal::replay(const std::string &dir)
             ev.seconds = f->asNumber();
         if (const JsonValue *f = v.find("cached"))
             ev.cached = f->isBool() && f->boolValue;
-        if (const JsonValue *f = v.find("spec")) {
-            for (const JsonValue &flag : f->items)
-                ev.spec.push_back(flag.asString());
-        }
-        if (const JsonValue *f = v.find("tenant"))
-            ev.tenant = f->asString();
-        if (const JsonValue *f = v.find("priority"))
-            ev.priority = (int)f->asNumber();
         if (v.find("bandwidth") || v.find("cycles")) {
             ev.hasMetrics = true;
             ev.metrics = readJobMetricsFields(v);

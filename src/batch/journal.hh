@@ -76,16 +76,9 @@ struct JournalEvent
 {
     enum class Kind
     {
-        /// Service-mode admission: the spec arrived over the socket
-        /// (xbatchd has no static manifest; replaying the Submit
-        /// events reconstructs the matrix). Carries spec/tenant/
-        /// priority.
-        Submit,
         Launch,
         Result,
         Final,
-        /// Service-mode cancellation of a not-yet-final job.
-        Cancel,
     };
 
     Kind kind = Kind::Launch;
@@ -106,11 +99,6 @@ struct JournalEvent
     /// Final only: the result came from the cache, not a simulation
     /// (`seconds` is then the hit latency).
     bool cached = false;
-    /// @{ Submit only.
-    std::vector<std::string> spec;  ///< RunSpec argv round trip
-    std::string tenant;
-    int priority = 0;
-    /// @}
 };
 
 /** Shared (journal + result cache) metrics serialization; doubles
@@ -136,8 +124,7 @@ class SweepJournal
     /**
      * Append one event; stamps event.seq. With @p durable false the
      * record is written but not fsync'd — call sync() before
-     * acknowledging it to anyone (group commit for the service's
-     * cached-completion bursts).
+     * relying on it (group commit for a burst of cache-hit finals).
      */
     Status append(JournalEvent &event, bool durable = true);
 

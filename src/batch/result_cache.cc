@@ -62,8 +62,7 @@ workloadContentHash(const std::string &name)
 
     // Every field that influences program generation or execution,
     // in declaration order. Adding a profile knob without extending
-    // this list would serve stale results, so test_svc pins the
-    // hash of a known profile.
+    // this list would serve stale results.
     Sha256 h;
     hashField(h, "name", p.name);
     hashField(h, "suite", p.suite);

@@ -126,10 +126,8 @@ SweepScheduler::SweepScheduler(SchedulerOptions opts,
         records_.push_back(std::move(rec));
     }
     eligibleAt_.assign(records_.size(), Clock::time_point::min());
-    for (std::size_t i = 0; i < records_.size(); ++i) {
+    for (std::size_t i = 0; i < records_.size(); ++i)
         pending_.push_back(i);
-        nextId_ = std::max(nextId_, records_[i].spec.id + 1);
-    }
     slotBusy_.assign(std::max(opts_.workers, 1u), 0);
 }
 
@@ -143,33 +141,10 @@ SweepScheduler::restore(const std::vector<JournalEvent> &events)
                                [&](const JobRecord &r) {
                                    return r.spec.id == ev.job;
                                });
-        if (ev.kind == JournalEvent::Kind::Submit) {
-            // Service mode has no manifest: the Submit events ARE the
-            // matrix, so an unknown id creates the record.
-            nextId_ = std::max(nextId_, ev.job + 1);
-            if (it != records_.end() || ev.spec.empty())
-                continue;
-            Expected<RunSpec> run = RunSpec::fromArgv(ev.spec);
-            if (!run.ok()) {
-                xbs_warn("journal submit %d has a bad spec: %s",
-                         ev.job, run.status().toString().c_str());
-                continue;
-            }
-            JobRecord rec;
-            rec.spec.id = ev.job;
-            rec.spec.run = run.take();
-            rec.tenant = ev.tenant;
-            rec.priority = ev.priority;
-            records_.push_back(std::move(rec));
-            eligibleAt_.push_back(Clock::time_point::min());
-            continue;
-        }
         if (it == records_.end())
             continue;  // journal mentions a job not in the manifest
         JobRecord &rec = *it;
         switch (ev.kind) {
-          case JournalEvent::Kind::Submit:
-            break;  // handled above
           case JournalEvent::Kind::Launch:
             break;  // a launch without a result consumed nothing
           case JournalEvent::Kind::Result:
@@ -204,16 +179,6 @@ SweepScheduler::restore(const std::vector<JournalEvent> &events)
             rec.note = ev.note;
             rec.cached = ev.cached;
             break;
-          case JournalEvent::Kind::Cancel:
-            // The cancel reached the journal; whether or not its
-            // Final did, the job must not run again.
-            if (!rec.done) {
-                rec.done = true;
-                rec.replayed = true;
-                rec.cls = JobClass::Canceled;
-                rec.note = ev.note;
-            }
-            break;
         }
     }
     // Re-queue only unfinished jobs, in matrix order.
@@ -239,113 +204,16 @@ SweepScheduler::journalAppend(JournalEvent &event, bool durable)
     }
 }
 
-Expected<int>
-SweepScheduler::submit(const RunSpec &run, const std::string &tenant,
-                       int priority, bool durable)
-{
-    const int id = nextId_++;
-    ++submits_;
-
-    // Journal first: the Submit event is the only persistent record
-    // of a service-mode job's existence, so it must be on disk (or
-    // covered by the caller's journalSync barrier) before anyone is
-    // told the job was accepted.
-    if (journal_) {
-        JournalEvent ev;
-        ev.kind = JournalEvent::Kind::Submit;
-        ev.job = id;
-        ev.spec = run.toArgv();
-        ev.tenant = tenant;
-        ev.priority = priority;
-        if (Status st = journal_->append(ev, durable); !st.isOk()) {
-            --nextId_;
-            return st;
-        }
-    }
-
-    JobRecord rec;
-    rec.spec.id = id;
-    rec.spec.run = run;
-    rec.tenant = tenant;
-    rec.priority = priority;
-    records_.push_back(std::move(rec));
-    eligibleAt_.push_back(Clock::time_point::min());
-    pending_.push_back(records_.size() - 1);
-    return id;
-}
-
-Status
-SweepScheduler::cancel(int job_id)
-{
-    auto it = std::find_if(records_.begin(), records_.end(),
-                           [&](const JobRecord &r) {
-                               return r.spec.id == job_id;
-                           });
-    if (it == records_.end()) {
-        return Status::error(StatusCode::NotFound,
-                             "unknown job " + std::to_string(job_id));
-    }
-    const std::size_t idx = (std::size_t)(it - records_.begin());
-    JobRecord &rec = *it;
-    if (rec.done) {
-        return Status::error("job " + std::to_string(job_id) +
-                             " is already final (" +
-                             jobClassName(rec.cls) + ")");
-    }
-
-    JournalEvent ev;
-    ev.kind = JournalEvent::Kind::Cancel;
-    ev.job = job_id;
-    ev.attempt = rec.attempts;
-    ev.cls = JobClass::Canceled;
-    journalAppend(ev);
-    ++cancels_;
-
-    auto pend = std::find(pending_.begin(), pending_.end(), idx);
-    if (pend != pending_.end()) {
-        pending_.erase(pend);
-        rec.note = "canceled while pending";
-        finalize(idx, JobClass::Canceled, false, JobMetrics{});
-        return Status::ok();
-    }
-    for (Running &run : running_) {
-        if (run.idx != idx || run.canceled)
-            continue;
-        // Same TERM-then-KILL escalation as the watchdog; the reap
-        // path sees run.canceled and finalizes as Canceled.
-        run.canceled = true;
-        run.termSent = true;
-        run.killAt = Clock::now() +
-                     std::chrono::microseconds(
-                         (int64_t)(opts_.graceSec * 1e6));
-        signalChild(run.child, SIGTERM);
-        return Status::ok();
-    }
-    // Not pending, not running, not done: only reachable mid-step;
-    // treat as pending-style cancellation.
-    rec.note = "canceled";
-    finalize(idx, JobClass::Canceled, false, JobMetrics{});
-    return Status::ok();
-}
-
-Status
-SweepScheduler::journalSync()
-{
-    return journal_ ? journal_->sync() : Status::ok();
-}
-
 /**
  * Launch-time cache probe: a first-attempt job whose key hits is
  * finalized as `cached` right here — no fork, no worker slot. The
  * Final journal line is written without its own fsync; step() issues
  * one group-commit sync after the launch loop, so a burst of hits
- * costs one fsync total (the >100 cached completions/sec budget).
+ * costs one fsync total.
  */
 bool
-SweepScheduler::tryServeFromCache(std::size_t idx,
-                                  std::string *key_hex)
+SweepScheduler::tryServeFromCache(std::size_t idx)
 {
-    key_hex->clear();
     if (!opts_.cache || !opts_.cache->isOpen())
         return false;
     JobRecord &rec = records_[idx];
@@ -356,12 +224,9 @@ SweepScheduler::tryServeFromCache(std::size_t idx,
     Expected<CacheKey> key = makeCacheKey(rec.spec.run);
     if (!key.ok())
         return false;
-    *key_hex = key.value().hex;
     Expected<CacheEntry> hit = opts_.cache->lookup(key.value());
-    if (!hit.ok()) {
-        ++cacheMisses_;
+    if (!hit.ok())
         return false;  // miss or corrupt entry: simulate
-    }
 
     rec.exitCode = kExitOk;
     rec.termSignal = 0;
@@ -399,23 +264,8 @@ SweepScheduler::storeToCache(const JobRecord &rec)
 void
 SweepScheduler::launch(std::size_t idx)
 {
-    std::string key_hex;
-    if (tryServeFromCache(idx, &key_hex))
+    if (tryServeFromCache(idx))
         return;
-    if (!key_hex.empty()) {
-        auto twin = inflightByKey_.find(key_hex);
-        if (twin != inflightByKey_.end() && twin->second != idx) {
-            // The same cell is simulating right now: defer instead
-            // of paying for it twice. When the twin stores its
-            // entry, the next launch attempt here is a cache hit;
-            // if the twin fails, the entry never appears and this
-            // job runs for real.
-            eligibleAt_[idx] =
-                Clock::now() + std::chrono::milliseconds(50);
-            pending_.push_back(idx);
-            return;
-        }
-    }
 
     JobRecord &rec = records_[idx];
     const int attempt = rec.attempts + 1;
@@ -480,10 +330,6 @@ SweepScheduler::launch(std::size_t idx)
     run.child.heartbeatPath = hb_path;
     run.idx = idx;
     run.attempt = attempt;
-    if (!key_hex.empty()) {
-        run.cacheKeyHex = key_hex;
-        inflightByKey_[key_hex] = idx;
-    }
     run.start = now;
     run.deadline =
         now + std::chrono::microseconds(
@@ -544,7 +390,6 @@ SweepScheduler::pollHeartbeat(Running &run, Clock::time_point now)
         // Alive but not advancing: kill as stalled (retryable) with
         // the same TERM-then-KILL escalation as a timeout.
         run.stalled = true;
-        ++stalls_;
         run.termSent = true;
         run.killAt =
             now + std::chrono::microseconds(
@@ -596,8 +441,6 @@ SweepScheduler::finalize(std::size_t idx, JobClass cls,
 void
 SweepScheduler::handleExit(Running &run, int raw_status)
 {
-    if (!run.cacheKeyHex.empty())
-        inflightByKey_.erase(run.cacheKeyHex);
     JobRecord &rec = records_[run.idx];
     const bool exited = WIFEXITED(raw_status);
     const int exit_code = exited ? WEXITSTATUS(raw_status) : -1;
@@ -612,16 +455,11 @@ SweepScheduler::handleExit(Running &run, int raw_status)
 
     JobClass cls = classifyOutcome(run.timedOut, run.stalled, exited,
                                    exit_code, term_signal);
-    // A cancel kill outranks everything the dying child reported:
-    // whatever it managed on the way down, the user asked for it to
-    // stop, and Canceled is terminal (never retried).
-    if (run.canceled)
-        cls = JobClass::Canceled;
     // A drain (supervisor shutdown) turns the kill-induced outcomes
     // into Interrupted: the attempt is free and --resume re-runs the
     // job. A child that still finished with a deterministic verdict
     // keeps it.
-    if (!run.canceled && draining_ && !run.timedOut && !run.stalled &&
+    if (draining_ && !run.timedOut && !run.stalled &&
         (cls == JobClass::Crash || cls == JobClass::Interrupted)) {
         cls = JobClass::Interrupted;
     }
@@ -732,46 +570,21 @@ SweepScheduler::handleExit(Running &run, int raw_status)
 
 /**
  * Pick the next pending job to launch, or records_.size() if nothing
- * is eligible: highest priority first; within a priority class the
- * least-served tenant (round-robin fairness, so one tenant's 1000
- * submissions cannot starve another's one); matrix/FIFO order last.
+ * is eligible: the first one in FIFO order whose backoff gate has
+ * passed.
  */
 std::size_t
 SweepScheduler::pickPending(Clock::time_point now)
 {
-    auto best = pending_.end();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-        if (eligibleAt_[*it] > now)
-            continue;
-        if (best == pending_.end()) {
-            best = it;
-            continue;
-        }
-        const JobRecord &a = records_[*it];
-        const JobRecord &b = records_[*best];
-        if (a.priority != b.priority) {
-            if (a.priority > b.priority)
-                best = it;
-            continue;
-        }
-        if (tenantServed_[a.tenant] < tenantServed_[b.tenant])
-            best = it;
-    }
-    if (best == pending_.end())
+    auto it = std::find_if(pending_.begin(), pending_.end(),
+                           [&](std::size_t idx) {
+                               return eligibleAt_[idx] <= now;
+                           });
+    if (it == pending_.end())
         return records_.size();
-    const std::size_t idx = *best;
-    pending_.erase(best);
-    ++tenantServed_[records_[idx].tenant];
+    const std::size_t idx = *it;
+    pending_.erase(it);
     return idx;
-}
-
-std::map<std::string, uint64_t>
-SweepScheduler::pendingByTenant() const
-{
-    std::map<std::string, uint64_t> depth;
-    for (std::size_t idx : pending_)
-        ++depth[records_[idx].tenant];
-    return depth;
 }
 
 void
@@ -792,7 +605,7 @@ SweepScheduler::step()
     }
 
     // Launch into free slots. Cache hits never take a slot, so one
-    // step drains an arbitrarily long run of duplicate submissions.
+    // step serves an arbitrarily long run of cached jobs.
     if (!draining_) {
         while (running_.size() < opts_.workers) {
             const std::size_t idx = pickPending(now);
@@ -801,13 +614,13 @@ SweepScheduler::step()
             launch(idx);
         }
     }
-    if (unsyncedFinals_ > 0) {
+    if (unsyncedFinals_ > 0 && journal_) {
         // Group commit for the batch of cache-hit finals journaled
         // above: one fsync covers them all.
-        if (Status st = journalSync(); !st.isOk())
+        if (Status st = journal_->sync(); !st.isOk())
             xbs_warn("journal sync failed: %s", st.toString().c_str());
-        unsyncedFinals_ = 0;
     }
+    unsyncedFinals_ = 0;
 
     // Poll workers: pump pipes, reap exits, enforce deadlines.
     for (std::size_t i = 0; i < running_.size();) {

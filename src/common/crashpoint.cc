@@ -80,13 +80,6 @@ crashPoint(const char *site)
     ::_exit(kCrashPointExit);
 }
 
-bool
-crashPointArmed()
-{
-    (void)initialized();
-    return config().armed;
-}
-
 const std::vector<std::string> &
 crashPointSites()
 {
@@ -106,13 +99,6 @@ crashPointSites()
         "cache.stored",         // entry durable
     };
     return sites;
-}
-
-void
-crashPointReset()
-{
-    (void)initialized();
-    loadFromEnv();
 }
 
 } // namespace xbs

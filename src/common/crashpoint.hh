@@ -38,10 +38,6 @@ constexpr int kCrashPointExit = 86;
  */
 void crashPoint(const char *site);
 
-/** True when XBATCH_CRASH_AT is set (tests skip timing-sensitive
- *  assertions under injection). */
-bool crashPointArmed();
-
 /**
  * Every site name compiled into the binary, in a stable order. The
  * crash matrix iterates this list; a listed site that no code
@@ -49,10 +45,6 @@ bool crashPointArmed();
  * dying), so the registry cannot rot.
  */
 const std::vector<std::string> &crashPointSites();
-
-/** Reset the per-site hit counters and re-read the environment
- *  (tests only; a forked victim inherits fresh state anyway). */
-void crashPointReset();
 
 } // namespace xbs
 

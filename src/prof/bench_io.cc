@@ -27,8 +27,8 @@ std::string
 rowLabel(const std::string &frontend, const std::string &workload,
          uint64_t capacity, uint64_t ways)
 {
-    // Mirrors RunSpec::label() so bench rows line up with xbatch and
-    // xbreport output without xbs_prof depending on xbs_sim.
+    // Mirrors RunSpec::label() so bench rows line up with xbatch
+    // output without xbs_prof depending on xbs_sim.
     std::string s = frontend;
     s += "/";
     s += workload;

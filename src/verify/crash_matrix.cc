@@ -74,22 +74,16 @@ crashVictimMain(const std::string &dir)
     if (Status st = ensureDir(dir); !st.isOk())
         return 1;
 
-    // Journal leg: five jobs through the full event sequence. The
-    // first three are per-record durable; the last two exercise the
-    // group-commit path (unsynced appends + one sync). An id is
+    // Journal leg: five jobs through the batch event sequence
+    // (launch, result, final). The first three are per-record
+    // durable; the last two exercise the group-commit path that
+    // cache-hit finals take (unsynced appends + one sync). An id is
     // acked only after the barrier that makes its Final durable.
     SweepJournal journal;
     if (Status st = journal.open(dir); !st.isOk())
         return 1;
     for (int job = 0; job < 5; ++job) {
         const bool durable = job < 3;
-        JournalEvent submit;
-        submit.kind = JournalEvent::Kind::Submit;
-        submit.job = job;
-        submit.spec = {"--workload=crash-victim", "--frontend=xbc",
-                       "--capacity=1024"};
-        if (Status st = journal.append(submit, durable); !st.isOk())
-            return 1;
         JournalEvent launch;
         launch.kind = JournalEvent::Kind::Launch;
         launch.job = job;
@@ -215,7 +209,7 @@ runCrashSite(const std::string &site,
         }
     }
 
-    // --- Recovery, exactly as a restarted daemon would do it. ---
+    // --- Recovery, exactly as `xbatch --resume` would do it. ---
 
     // 1. Replay accepts the journal (at most a torn tail).
     std::vector<JournalEvent> events;

@@ -8,7 +8,7 @@
  * kCrashPointExit on the n-th visit of <site>). This harness is the
  * *driver*: for one site it forks a victim that exercises the
  * journal + result-cache write path, waits for the planted death,
- * then re-opens the state like a restarted daemon would and checks
+ * then re-opens the state like `xbatch --resume` would and checks
  * the consistency contract:
  *
  *  - journal replay accepts the file (at most a torn tail, never a
@@ -22,8 +22,9 @@
  *  - the journal accepts appends again after recovery (the log is
  *    usable, not wedged).
  *
- * runCrashMatrix() iterates every registered site; tests and the CI
- * chaos job call it with the tier-1 gtest binary as the victim host.
+ * runCrashMatrix() iterates every registered site; test_batch calls
+ * it (in tier-1 and in the CI chaos job) with its own gtest binary
+ * as the victim host.
  */
 
 #ifndef XBS_VERIFY_CRASH_MATRIX_HH

@@ -2,9 +2,11 @@
  * @file
  * Tests for the fault-tolerant sweep engine: exit-code taxonomy,
  * journal round-trip and torn-tail tolerance, timeout classification
- * against a genuinely hung child, retry/backoff accounting, and
- * resume semantics (no completed job re-executed, no pending job
- * lost).
+ * against a genuinely hung child, retry/backoff accounting, resume
+ * semantics (no completed job re-executed, no pending job lost), the
+ * content-addressed result cache and typed resource errors, and the
+ * crash-point recovery matrix (this test binary doubles as the
+ * victim process).
  *
  * Children are tiny /bin/sh scripts the tests write themselves, so
  * each failure mode (hang, crash, deterministic exit code) is exact
@@ -13,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 
 #include <sys/stat.h>
@@ -22,9 +27,13 @@
 #include "batch/job.hh"
 #include "batch/journal.hh"
 #include "batch/report.hh"
+#include "batch/result_cache.hh"
 #include "batch/scheduler.hh"
 #include "batch/subprocess.hh"
+#include "common/crashpoint.hh"
 #include "common/fs.hh"
+#include "verify/crash_matrix.hh"
+#include "workload/catalog.hh"
 
 using namespace xbs;
 
@@ -85,6 +94,28 @@ fastOptions(const std::string &xbsim)
 const char *kOkJson =
     "echo '{\"bandwidth\": 2.5, \"missRate\": 0.125, "
     "\"overallIpc\": 2.0, \"cycles\": 100, \"totalUops\": 250}'\n";
+
+/** A real-catalog spec (cache keys need a known workload). */
+RunSpec
+gccSpec(uint64_t insts = 1000)
+{
+    RunSpec run;
+    run.workload = "gcc";
+    run.frontend = "xbc";
+    run.capacity = 32768;
+    run.insts = insts;
+    return run;
+}
+
+std::string
+selfExe()
+{
+    char buf[4096];
+    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+    EXPECT_GT(n, 0);
+    buf[n > 0 ? n : 0] = '\0';
+    return buf;
+}
 
 } // anonymous namespace
 
@@ -375,6 +406,267 @@ TEST(Journal, CorruptionMidFileIsAnError)
     ASSERT_FALSE(back.ok());
     EXPECT_NE(back.status().toString().find("malformed journal"),
               std::string::npos);
+}
+
+TEST(JournalCached, FinalCachedFlagRoundTrips)
+{
+    const std::string dir = makeTempDir();
+    {
+        SweepJournal journal;
+        ASSERT_TRUE(journal.open(dir).isOk());
+        JournalEvent fin;
+        fin.kind = JournalEvent::Kind::Final;
+        fin.job = 0;
+        fin.attempt = 1;
+        fin.cls = JobClass::Ok;
+        fin.exitCode = 0;
+        fin.cached = true;
+        fin.seconds = 0.000123456789012345;
+        fin.hasMetrics = true;
+        fin.metrics.bandwidth = 7.8116300000000001;
+        fin.metrics.cycles = 15731;
+        ASSERT_TRUE(journal.append(fin).isOk());
+    }
+    Expected<std::vector<JournalEvent>> events =
+        SweepJournal::replay(dir);
+    ASSERT_TRUE(events.ok());
+    ASSERT_EQ(events.value().size(), 1u);
+    const JournalEvent &ev = events.value()[0];
+    EXPECT_TRUE(ev.cached);
+    EXPECT_EQ(ev.seconds, 0.000123456789012345);
+    EXPECT_EQ(ev.metrics.bandwidth, 7.8116300000000001);
+}
+
+// ---------------------------------------------------------------
+// Result cache: key derivation and entry integrity
+// ---------------------------------------------------------------
+
+TEST(CacheKey, Deterministic)
+{
+    Expected<CacheKey> a = makeCacheKey(gccSpec());
+    Expected<CacheKey> b = makeCacheKey(gccSpec());
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a.value().hex, b.value().hex);
+    EXPECT_EQ(a.value().hex.size(), 64u);
+}
+
+TEST(CacheKey, InstsZeroResolvesToEffectiveDefault)
+{
+    // insts=0 means "the xbsim default", which env vars change; the
+    // canonical spec pins the *effective* length so a cached result
+    // can never be served across a different default.
+    Expected<CacheKey> implicit = makeCacheKey(gccSpec(0));
+    Expected<CacheKey> explicit_ =
+        makeCacheKey(gccSpec(defaultTraceLength()));
+    ASSERT_TRUE(implicit.ok());
+    ASSERT_TRUE(explicit_.ok());
+    EXPECT_EQ(implicit.value().hex, explicit_.value().hex);
+}
+
+TEST(CacheKey, DistinctSpecsGetDistinctKeys)
+{
+    Expected<CacheKey> a = makeCacheKey(gccSpec(1000));
+    Expected<CacheKey> b = makeCacheKey(gccSpec(1001));
+    RunSpec tc = gccSpec(1000);
+    tc.frontend = "tc";
+    Expected<CacheKey> c = makeCacheKey(tc);
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    EXPECT_NE(a.value().hex, b.value().hex);
+    EXPECT_NE(a.value().hex, c.value().hex);
+}
+
+TEST(CacheKey, UnknownWorkloadFails)
+{
+    RunSpec run = gccSpec();
+    run.workload = "no-such-workload";
+    EXPECT_FALSE(makeCacheKey(run).ok());
+}
+
+TEST(ResultCache, StoreLookupRoundTripIsExact)
+{
+    const std::string dir = makeTempDir();
+    ResultCache cache;
+    ASSERT_TRUE(cache.open(dir + "/cache").isOk());
+
+    Expected<CacheKey> key = makeCacheKey(gccSpec());
+    ASSERT_TRUE(key.ok());
+
+    CacheEntry entry;
+    entry.label = "xbc/gcc@32768";
+    entry.seconds = 1.25;
+    // Deliberately precision-hostile doubles: the store must round
+    // trip them bit-exactly (report.json equality is an acceptance
+    // criterion for cached runs).
+    entry.metrics.bandwidth = 0.1 + 0.2;  // 0.30000000000000004
+    entry.metrics.missRate = 1.0 / 3.0;
+    entry.metrics.overallIpc = 2.0 / 7.0;
+    entry.metrics.cycles = 15731;
+    entry.metrics.totalUops = 32860;
+
+    ASSERT_TRUE(cache.store(key.value(), entry).isOk());
+    Expected<CacheEntry> back = cache.lookup(key.value());
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    EXPECT_EQ(back.value().label, entry.label);
+    EXPECT_EQ(back.value().metrics.bandwidth,
+              entry.metrics.bandwidth);
+    EXPECT_EQ(back.value().metrics.missRate,
+              entry.metrics.missRate);
+    EXPECT_EQ(back.value().metrics.overallIpc,
+              entry.metrics.overallIpc);
+    EXPECT_EQ(back.value().metrics.cycles, entry.metrics.cycles);
+    EXPECT_EQ(back.value().metrics.totalUops,
+              entry.metrics.totalUops);
+}
+
+TEST(ResultCache, CleanMissIsNotFound)
+{
+    const std::string dir = makeTempDir();
+    ResultCache cache;
+    ASSERT_TRUE(cache.open(dir + "/cache").isOk());
+    Expected<CacheKey> key = makeCacheKey(gccSpec());
+    ASSERT_TRUE(key.ok());
+    Expected<CacheEntry> miss = cache.lookup(key.value());
+    ASSERT_FALSE(miss.ok());
+    EXPECT_EQ(miss.status().code(), StatusCode::NotFound);
+}
+
+TEST(ResultCache, CorruptEntryDemotedToMissAndUnlinked)
+{
+    const std::string dir = makeTempDir();
+    ResultCache cache;
+    ASSERT_TRUE(cache.open(dir + "/cache").isOk());
+    Expected<CacheKey> key = makeCacheKey(gccSpec());
+    ASSERT_TRUE(key.ok());
+
+    CacheEntry entry;
+    entry.label = "victim";
+    entry.seconds = 1.0;
+    entry.metrics.cycles = 10;
+    ASSERT_TRUE(cache.store(key.value(), entry).isOk());
+
+    // Flip a byte in the body: the guard hash must catch it.
+    const std::string path = cache.entryPath(key.value());
+    Expected<std::string> read = readFileToString(path);
+    ASSERT_TRUE(read.ok());
+    std::string blob = read.take();
+    blob[blob.size() / 2] ^= 0x20;
+    {
+        std::ofstream os(path, std::ios::trunc);
+        os << blob;
+    }
+
+    Expected<CacheEntry> hit = cache.lookup(key.value());
+    ASSERT_FALSE(hit.ok());
+    EXPECT_EQ(hit.status().code(), StatusCode::Corrupt);
+    EXPECT_FALSE(pathExists(path)) << "corrupt entry not unlinked";
+
+    // The slate is clean: a fresh store round-trips.
+    ASSERT_TRUE(cache.store(key.value(), entry).isOk());
+    EXPECT_TRUE(cache.lookup(key.value()).ok());
+}
+
+TEST(ResultCache, WarmRerunServesEveryJobWithoutSpawning)
+{
+    const std::string dir = makeTempDir();
+    // The child logs every spawn and reports precision-hostile
+    // metrics that differ per cell, so a cache hit can only match
+    // the cold run if the entry round-trips bit-exactly.
+    const std::string spawns = dir + "/spawns.log";
+    const std::string sim = writeScript(
+        dir, "sim.sh",
+        "echo \"$*\" >> " + spawns + "\n"
+        "case \"$*\" in\n"
+        "  *--frontend=xbc*) bw=7.8116312345678901 ;;\n"
+        "  *) bw=2.0888798765432109 ;;\n"
+        "esac\n"
+        "case \"$*\" in\n"
+        "  *--workload=gcc*) cyc=15731 ;;\n"
+        "  *) cyc=20011 ;;\n"
+        "esac\n"
+        "echo \"{\\\"bandwidth\\\": $bw, "
+        "\\\"missRate\\\": 0.30000000000000004, "
+        "\\\"overallIpc\\\": 0.33333333333333331, "
+        "\\\"cycles\\\": $cyc, \\\"totalUops\\\": 32860}\"\n");
+    auto spawnCount = [&] {
+        Expected<std::string> log = readFileToString(spawns);
+        if (!log.ok())
+            return 0l;
+        return (long)std::count(log.value().begin(),
+                                log.value().end(), '\n');
+    };
+    const std::vector<JobSpec> matrix =
+        buildJobMatrix({"gcc", "go"}, {"tc", "xbc"}, {32768}, 1000);
+
+    ResultCache cache;
+    ASSERT_TRUE(cache.open(dir + "/cache").isOk());
+    SchedulerOptions opts = fastOptions(sim);
+    opts.cache = &cache;
+
+    SweepScheduler cold(opts, matrix, nullptr);
+    EXPECT_TRUE(cold.run());
+    EXPECT_TRUE(cold.allOk());
+    EXPECT_EQ(cold.cacheHits(), 0u);
+    EXPECT_EQ(spawnCount(), (long)matrix.size());
+
+    SweepScheduler warm(opts, matrix, nullptr);
+    EXPECT_TRUE(warm.run());
+    EXPECT_TRUE(warm.allOk());
+    EXPECT_EQ(warm.cacheHits(), matrix.size());
+    EXPECT_EQ(spawnCount(), (long)matrix.size())
+        << "a cached job spawned a child";
+
+    ASSERT_EQ(warm.records().size(), cold.records().size());
+    for (std::size_t i = 0; i < matrix.size(); ++i) {
+        const JobRecord &c = cold.records()[i];
+        const JobRecord &w = warm.records()[i];
+        EXPECT_FALSE(c.cached);
+        EXPECT_TRUE(w.cached) << w.spec.run.label();
+        ASSERT_TRUE(c.hasMetrics && w.hasMetrics);
+        EXPECT_EQ(w.metrics.bandwidth, c.metrics.bandwidth);
+        EXPECT_EQ(w.metrics.missRate, c.metrics.missRate);
+        EXPECT_EQ(w.metrics.overallIpc, c.metrics.overallIpc);
+        EXPECT_EQ(w.metrics.cycles, c.metrics.cycles);
+        EXPECT_EQ(w.metrics.totalUops, c.metrics.totalUops);
+    }
+    EXPECT_NE(cold.records()[0].metrics.bandwidth,
+              cold.records()[1].metrics.bandwidth)
+        << "cells must differ, or the comparison proves nothing";
+}
+
+// ---------------------------------------------------------------
+// Typed resource exhaustion: ENOSPC and friends are transient
+// ---------------------------------------------------------------
+
+TEST(TypedErrors, EnospcAppendIsTransientResource)
+{
+    // /dev/full gives a deterministic ENOSPC on write.
+    if (::access("/dev/full", W_OK) != 0)
+        GTEST_SKIP() << "/dev/full not available";
+    AppendLog log;
+    Status st = log.open("/dev/full");
+    if (!st.isOk())
+        GTEST_SKIP() << "cannot open /dev/full: " << st.toString();
+    Status append = log.append("{}");
+    ASSERT_FALSE(append.isOk());
+    EXPECT_EQ(append.code(), StatusCode::Resource);
+    EXPECT_TRUE(append.transient());
+}
+
+TEST(TypedErrors, ErrnoMapping)
+{
+    EXPECT_EQ(errnoStatusCode(ENOSPC), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(EDQUOT), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(EAGAIN), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(ENOMEM), StatusCode::Resource);
+    EXPECT_EQ(errnoStatusCode(ENOENT), StatusCode::NotFound);
+    EXPECT_EQ(errnoStatusCode(EIO), StatusCode::Generic);
+}
+
+TEST(TypedErrors, ResourceIsRetryable)
+{
+    EXPECT_TRUE(jobClassRetryable(JobClass::Resource));
+    EXPECT_STREQ(jobClassName(JobClass::Resource), "resource");
 }
 
 // ---------------------------------------------------------------
@@ -932,4 +1224,58 @@ TEST(Subprocess, SignalKillsWholeProcessGroup)
         pumpChild(c);
     ASSERT_TRUE(WIFSIGNALED(raw));
     EXPECT_EQ(WTERMSIG(raw), SIGKILL);
+}
+
+// ---------------------------------------------------------------
+// Crash-point matrix (this binary is the victim host)
+// ---------------------------------------------------------------
+
+// When XBS_CRASH_VICTIM_DIR is set this test IS the victim process:
+// it runs the durability exercise body and exits, dying mid-flight
+// at whatever crash point the environment armed.
+TEST(CrashVictimHost, RunBody)
+{
+    const char *dir = std::getenv("XBS_CRASH_VICTIM_DIR");
+    if (!dir)
+        GTEST_SKIP() << "victim mode only (XBS_CRASH_VICTIM_DIR)";
+    ::_exit(crashVictimMain(dir));
+}
+
+TEST(CrashMatrix, EverySiteCrashesAndRecovers)
+{
+    // Every fsync/rename/append site of the journal and the cache
+    // must be registered; a short list would make the matrix vacuous.
+    ASSERT_GE(crashPointSites().size(), 10u);
+
+    const std::string scratch = makeTempDir();
+    const std::vector<std::string> victim = {
+        "env", "XBS_CRASH_VICTIM_DIR={DIR}", selfExe(),
+        "--gtest_filter=CrashVictimHost.RunBody"};
+    std::vector<CrashSiteResult> results =
+        runCrashMatrix(victim, scratch);
+    EXPECT_EQ(results.size(), crashPointSites().size());
+    for (const CrashSiteResult &res : results) {
+        EXPECT_TRUE(res.crashed)
+            << res.site << ": victim did not die at the plant: "
+            << res.detail;
+        EXPECT_TRUE(res.recovered)
+            << res.site << ": " << res.detail;
+    }
+    EXPECT_TRUE(crashMatrixPassed(results));
+}
+
+TEST(CrashMatrix, UnarmedVictimRunsToCompletion)
+{
+    const std::string dir = makeTempDir();
+    EXPECT_EQ(crashVictimMain(dir + "/v"), 0);
+    // And everything it wrote is consistent.
+    Expected<std::vector<JournalEvent>> events =
+        SweepJournal::replay(dir + "/v");
+    ASSERT_TRUE(events.ok());
+    std::size_t finals = 0;
+    for (const JournalEvent &ev : events.value()) {
+        if (ev.kind == JournalEvent::Kind::Final)
+            ++finals;
+    }
+    EXPECT_EQ(finals, 5u);
 }

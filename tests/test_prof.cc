@@ -9,13 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
+#include <time.h>
 #include <unistd.h>
 
 #include "common/fs.hh"
@@ -147,14 +150,20 @@ TEST(PhaseProfiler, JsonAndRenderCarryPhases)
 /**
  * The --profile overhead budget: sampled phase timing must cost no
  * more than 2% on a workload whose per-entry work resembles a
- * simulator cycle. Interleaved min-of-N repetitions cancel host
- * noise (the minimum filters one-sided scheduler interference).
+ * simulator cycle. Each repetition is timed in thread CPU time, so
+ * time spent descheduled by other processes is not charged to
+ * either variant. The estimate is the median of per-pair ratios
+ * over back-to-back (profiled, unprofiled) repetitions: pairing
+ * cancels slow host drift, alternating the order within a pair
+ * cancels warm-up bias, and the median discards the pairs a
+ * hiccup hit. The true overhead is near 0.5% on a 4-core x86 host,
+ * so only a noisy estimator can break the 2% bound there.
  */
 TEST(PhaseProfiler, SampledOverheadWithinTwoPercent)
 {
     constexpr int kEntries = 1 << 14;
     constexpr int kWorkSteps = 128;  // ~ a simulated cycle's work
-    constexpr int kReps = 9;
+    constexpr int kReps = 31;
 
     // xorshift kernel: cheap, unoptimizable-away deterministic work.
     auto work = [](uint64_t seed) {
@@ -177,29 +186,36 @@ TEST(PhaseProfiler, SampledOverheadWithinTwoPercent)
     // vectorizing the unprofiled loop into an unrealistic baseline.
     auto rep = [&](PhaseProfiler *p) {
         PhaseProfiler *volatile vp = p;
-        auto t0 = std::chrono::steady_clock::now();
+        timespec t0, t1;
+        ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t0);
         uint64_t acc = 1;
         for (int i = 0; i < kEntries; ++i) {
             ScopedPhase timer(vp, id);
             acc = work(acc + (uint64_t)i);
         }
         sink = sink ^ acc;
-        return (uint64_t)std::chrono::duration_cast<
-                   std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now() - t0)
-            .count();
+        ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &t1);
+        return (uint64_t)((t1.tv_sec - t0.tv_sec) * 1000000000ll +
+                          (t1.tv_nsec - t0.tv_nsec));
     };
 
-    uint64_t best_off = ~0ull, best_on = ~0ull;
+    std::vector<double> ratios;
     for (int r = 0; r < kReps; ++r) {
-        best_off = std::min(best_off, rep(nullptr));
-        best_on = std::min(best_on, rep(&prof));
+        uint64_t off, on;
+        if (r % 2) {
+            on = rep(&prof);
+            off = rep(nullptr);
+        } else {
+            off = rep(nullptr);
+            on = rep(&prof);
+        }
+        ratios.push_back((double)on / (double)off);
     }
-
-    const double ratio = (double)best_on / (double)best_off;
-    EXPECT_LE(ratio, 1.02)
-        << "profiled " << best_on << "ns vs " << best_off
-        << "ns unprofiled";
+    std::nth_element(ratios.begin(), ratios.begin() + kReps / 2,
+                     ratios.end());
+    const double ratio = ratios[kReps / 2];
+    EXPECT_LE(ratio, 1.02) << "median profiled/unprofiled ratio over "
+                           << kReps << " pairs";
 }
 
 // ---------------------------------------------------------------

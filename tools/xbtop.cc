@@ -73,7 +73,6 @@ struct JobView
 struct Snapshot
 {
     SweepManifest manifest;
-    bool hasManifest = true;  ///< false: xbatchd service dir
     std::vector<JobRecord> records;
     std::vector<JobView> jobs;
     unsigned retries = 0;
@@ -102,21 +101,10 @@ Expected<Snapshot>
 takeSnapshot(const std::string &dir)
 {
     Snapshot snap;
-    if (pathExists(SweepJournal::manifestPath(dir))) {
-        Expected<SweepManifest> m = SweepJournal::readManifest(dir);
-        if (!m.ok())
-            return m.status();
-        snap.manifest = m.take();
-    } else if (pathExists(SweepJournal::journalPath(dir))) {
-        // A service sweep (xbatchd) has no manifest: the journal's
-        // Submit events are the matrix, and the replay fold below
-        // reconstructs every record from them. Supervision settings
-        // fall back to the manifest defaults for display.
-        snap.hasManifest = false;
-    } else {
-        return Status::error("not a sweep directory (no manifest, "
-                             "no journal)").withFile(dir);
-    }
+    Expected<SweepManifest> m = SweepJournal::readManifest(dir);
+    if (!m.ok())
+        return m.status();
+    snap.manifest = m.take();
 
     Expected<std::vector<JournalEvent>> ev = SweepJournal::replay(dir);
     if (!ev.ok())
@@ -230,9 +218,9 @@ writeSnapshotJson(std::ostream &os, const std::string &dir,
     // that ran --perf with counters available. Version 5: EWMA-
     // smoothed rate/ETA alongside the raw ones, a t-interval on the
     // rate samples, and per-job statsPhase (src/obs/stats phase ID).
-    jw.field("version", (uint64_t)5);
+    // Version 6: no "service" flag (every sweep dir has a manifest).
+    jw.field("version", (uint64_t)6);
     jw.field("dir", dir);
-    jw.field("service", !snap.hasManifest);
     jw.field("workers", (uint64_t)snap.manifest.workers);
     jw.field("heartbeatSec", snap.manifest.heartbeatSec);
     jw.field("stallPeriods", (uint64_t)snap.manifest.stallPeriods);
