@@ -62,7 +62,9 @@ workloadContentHash(const std::string &name)
 
     // Every field that influences program generation or execution,
     // in declaration order. Adding a profile knob without extending
-    // this list would serve stale results.
+    // this list would serve stale results; test_batch's
+    // CacheKey.WorkloadHashListsEveryProfileField fails when the
+    // profile's field count changes.
     Sha256 h;
     hashField(h, "name", p.name);
     hashField(h, "suite", p.suite);

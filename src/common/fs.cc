@@ -81,7 +81,7 @@ ensureDir(const std::string &dir)
     std::istringstream ss(dir);
     std::string component;
     if (dir[0] == '/')
-        partial = "/";
+        partial = '/';
     while (std::getline(ss, component, '/')) {
         if (component.empty())
             continue;

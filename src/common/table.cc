@@ -90,14 +90,17 @@ TextTable::csv() const
         return q + "\"";
     };
     std::string out;
-    for (std::size_t c = 0; c < headers_.size(); ++c)
-        out += (c ? "," : "") + quote(headers_[c]);
-    out += "\n";
-    for (const auto &row : rows_) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            out += (c ? "," : "") + quote(row[c]);
-        out += "\n";
-    }
+    auto line = [&](const std::vector<std::string> &cells) {
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            if (c)
+                out += ',';
+            out += quote(cells[c]);
+        }
+        out += '\n';
+    };
+    line(headers_);
+    for (const auto &row : rows_)
+        line(row);
     return out;
 }
 

@@ -12,6 +12,9 @@ Trace::Trace(std::shared_ptr<const StaticCode> code,
 {
     xbs_assert(code_ != nullptr && code_->finalized(),
                "trace needs finalized code");
+    xbs_assert(code_->size() <= kMaxStaticInsts,
+               "%zu static instructions exceed the 2^30 index space",
+               code_->size());
     for (const auto &r : records_) {
         xbs_assert(r.staticIdx >= 0 &&
                    (std::size_t)r.staticIdx < code_->size(),

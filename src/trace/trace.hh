@@ -5,8 +5,10 @@
  * A Trace is the unit the standalone frontend simulator consumes (the
  * paper drives its simulator with 30M-instruction x86 traces; ours are
  * synthetic and typically 2M instructions). Each record references a
- * StaticInst by index, so a record is 8 bytes and all static
- * properties (IP, length, uop count, class, direct target) are shared.
+ * StaticInst by index, so a record is 4 bytes (a 31-bit index and the
+ * taken bit) and all static properties (IP, length, uop count, class,
+ * direct target) are shared. A 30M-instruction trace thus holds its
+ * records in ~115 MiB.
  */
 
 #ifndef XBS_TRACE_TRACE_HH
@@ -22,15 +24,21 @@
 namespace xbs
 {
 
+/** Static indices a trace can reference: 0 .. kMaxStaticInsts-1.
+ *  The bound keeps every index in TraceRecord::staticIdx (a signed
+ *  31-bit field) non-negative. */
+constexpr uint64_t kMaxStaticInsts = uint64_t(1) << 30;
+
 /** One dynamic instruction instance. */
 struct TraceRecord
 {
-    int32_t staticIdx = 0;  ///< index into the trace's StaticCode
-    uint8_t taken = 0;      ///< conditional branches: direction
-    uint8_t pad[3] = {};
+    /** Index into the trace's StaticCode. Signed, so that brace
+     *  initializers taking an int32_t read it without narrowing. */
+    int32_t staticIdx : 31 = 0;
+    uint8_t taken : 1 = 0;  ///< conditional branches: direction
 };
 
-static_assert(sizeof(TraceRecord) == 8, "TraceRecord should be 8B");
+static_assert(sizeof(TraceRecord) == 4, "TraceRecord should be 4B");
 
 /** An immutable dynamic trace over a shared static code image. */
 class Trace

@@ -1,9 +1,11 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "common/logging.hh"
 
@@ -15,9 +17,36 @@ namespace
 
 constexpr char kMagic[4] = {'X', 'B', 'T', '1'};
 
-/** Serialized sizes (the structs are written field by field). */
+/** Serialized sizes (fields are packed, not struct images). */
 constexpr uint64_t kInstBytes = 8 + 1 + 1 + 1 + 4 + 4;
 constexpr uint64_t kRecordBytes = 4 + 1;
+
+/** Where each field starts inside a serialized instruction/record. */
+constexpr uint64_t kInstFields[] = {0, 8, 9, 10, 11, 15};
+constexpr uint64_t kRecordFields[] = {0, 4};
+
+/** The one section buffer: 76 KiB of instructions or 320 KiB of
+ *  records per chunk. */
+constexpr std::size_t kChunkBytes =
+    std::max(kTraceInstsPerChunk * kInstBytes,
+             kTraceRecordsPerChunk * kRecordBytes);
+
+template <typename T>
+T
+load(const unsigned char *p)
+{
+    T v;
+    std::memcpy(&v, p, sizeof(T));
+    return v;
+}
+
+template <typename T>
+unsigned char *
+store(unsigned char *p, T v)
+{
+    std::memcpy(p, &v, sizeof(T));
+    return p + sizeof(T);
+}
 
 struct FileCloser
 {
@@ -52,6 +81,35 @@ struct Reader
         return true;
     }
 
+    /**
+     * Read @p count items of @p item_bytes each (fields starting at
+     * @p fields) with one fread. A short read fails at the start of
+     * the field it cut into, as a field-by-field read would.
+     */
+    template <std::size_t N>
+    bool
+    readItems(unsigned char *dst, uint64_t count, uint64_t item_bytes,
+              const uint64_t (&fields)[N], const char *what)
+    {
+        if (!error.isOk())
+            return false;
+        const std::size_t n = count * item_bytes;
+        const std::size_t got = std::fread(dst, 1, n, f);
+        if (got != n) {
+            uint64_t field = 0;
+            for (uint64_t start : fields) {
+                if (start <= got % item_bytes)
+                    field = start;
+            }
+            error = Status::error(std::string("truncated ") + what)
+                        .withOffset(offset + got - got % item_bytes +
+                                    field);
+            return false;
+        }
+        offset += n;
+        return true;
+    }
+
     template <typename T>
     T
     get(const char *what)
@@ -70,13 +128,6 @@ struct Reader
             error = Status::error(std::move(cause)).withOffset(offset);
     }
 };
-
-template <typename T>
-bool
-put(FILE *f, const T &v)
-{
-    return std::fwrite(&v, sizeof(T), 1, f) == 1;
-}
 
 } // anonymous namespace
 
@@ -97,50 +148,61 @@ writeTraceEx(const Trace &trace, const std::string &path)
     if (!f)
         return Status::error("cannot open for writing").withFile(path);
 
+    // Each write reports failure at the offset it started from.
     uint64_t offset = 0;
+    auto write = [&](const void *src, std::size_t n) {
+        if (std::fwrite(src, 1, n, f.get()) != n)
+            return false;
+        offset += n;
+        return true;
+    };
     auto fail = [&]() {
         return Status::error("trace write failed")
             .withFile(path).withOffset(offset);
     };
 
-    if (std::fwrite(kMagic, 1, 4, f.get()) != 4)
-        return fail();
-    offset += 4;
-    if (!put<uint32_t>(f.get(), (uint32_t)trace.name().size()))
-        return fail();
-    offset += 4;
-    if (std::fwrite(trace.name().data(), 1, trace.name().size(),
-                    f.get()) != trace.name().size()) {
-        return fail();
-    }
-    offset += trace.name().size();
-
     const auto &code = trace.code();
-    if (!put<uint64_t>(f.get(), code.size()))
+    const uint32_t name_len = (uint32_t)trace.name().size();
+    const uint64_t num_insts = code.size();
+    const uint64_t num_records = trace.numRecords();
+    if (!write(kMagic, 4) || !write(&name_len, 4) ||
+        !write(trace.name().data(), name_len) || !write(&num_insts, 8)) {
         return fail();
-    offset += 8;
-    for (std::size_t i = 0; i < code.size(); ++i) {
-        const auto &si = code.inst((int32_t)i);
-        if (!put<uint64_t>(f.get(), si.ip) ||
-            !put<uint8_t>(f.get(), si.length) ||
-            !put<uint8_t>(f.get(), si.numUops) ||
-            !put<uint8_t>(f.get(), (uint8_t)si.cls) ||
-            !put<int32_t>(f.get(), si.takenIdx) ||
-            !put<int32_t>(f.get(), si.behaviorId)) {
-            return fail();
-        }
-        offset += kInstBytes;
     }
 
-    if (!put<uint64_t>(f.get(), trace.numRecords()))
-        return fail();
-    offset += 8;
-    for (std::size_t i = 0; i < trace.numRecords(); ++i) {
-        if (!put<int32_t>(f.get(), trace.record(i).staticIdx) ||
-            !put<uint8_t>(f.get(), trace.record(i).taken)) {
-            return fail();
+    std::vector<unsigned char> buf(kChunkBytes);
+    for (uint64_t base = 0; base < num_insts;
+         base += kTraceInstsPerChunk) {
+        const uint64_t end =
+            std::min(num_insts, base + kTraceInstsPerChunk);
+        unsigned char *p = buf.data();
+        for (uint64_t i = base; i < end; ++i) {
+            const auto &si = code.inst((int32_t)i);
+            p = store<uint64_t>(p, si.ip);
+            p = store<uint8_t>(p, si.length);
+            p = store<uint8_t>(p, si.numUops);
+            p = store<uint8_t>(p, (uint8_t)si.cls);
+            p = store<int32_t>(p, si.takenIdx);
+            p = store<int32_t>(p, si.behaviorId);
         }
-        offset += kRecordBytes;
+        if (!write(buf.data(), (std::size_t)(p - buf.data())))
+            return fail();
+    }
+
+    if (!write(&num_records, 8))
+        return fail();
+    for (uint64_t base = 0; base < num_records;
+         base += kTraceRecordsPerChunk) {
+        const uint64_t end =
+            std::min(num_records, base + kTraceRecordsPerChunk);
+        unsigned char *p = buf.data();
+        for (uint64_t i = base; i < end; ++i) {
+            const TraceRecord &rec = trace.record(i);
+            p = store<int32_t>(p, rec.staticIdx);
+            p = store<uint8_t>(p, rec.taken);
+        }
+        if (!write(buf.data(), (std::size_t)(p - buf.data())))
+            return fail();
     }
     if (std::fflush(f.get()) != 0)
         return fail();
@@ -205,52 +267,63 @@ readTraceEx(const std::string &path)
                " bytes left in the file");
         return r.error.withFile(path);
     }
-    if (num_insts > (uint64_t)INT32_MAX) {
+    if (num_insts > kMaxStaticInsts) {
         r.fail("instruction count " + std::to_string(num_insts) +
-               " exceeds the 31-bit index space");
+               " exceeds the 2^30 static index space");
         return r.error.withFile(path);
     }
 
+    std::vector<unsigned char> buf(kChunkBytes);
     auto code = std::make_shared<StaticCode>();
     std::unordered_set<uint64_t> seen_ips;
     seen_ips.reserve((std::size_t)num_insts);
-    for (uint64_t i = 0; i < num_insts; ++i) {
-        uint64_t inst_off = r.offset;
-        StaticInst si;
-        si.ip = r.get<uint64_t>("instruction");
-        si.length = r.get<uint8_t>("instruction");
-        si.numUops = r.get<uint8_t>("instruction");
-        auto cls = r.get<uint8_t>("instruction");
-        si.takenIdx = r.get<int32_t>("instruction");
-        si.behaviorId = r.get<int32_t>("instruction");
-        if (!r.error.isOk())
+    for (uint64_t base = 0; base < num_insts;
+         base += kTraceInstsPerChunk) {
+        const uint64_t n =
+            std::min(kTraceInstsPerChunk, num_insts - base);
+        const uint64_t chunk_off = r.offset;
+        if (!r.readItems(buf.data(), n, kInstBytes, kInstFields,
+                         "instruction")) {
             return r.error.withFile(path);
-
-        auto bad = [&](const std::string &what) {
-            r.error = Status::error("instruction " +
-                                    std::to_string(i) + ": " + what)
-                          .withOffset(inst_off).withFile(path);
-            return r.error;
-        };
-        if (si.length < 1 || si.length > 15)
-            return bad("length " + std::to_string(si.length) +
-                       " outside 1..15");
-        if (si.numUops < 1 || si.numUops > 16)
-            return bad("uop count " + std::to_string(si.numUops) +
-                       " outside 1..16");
-        if (cls >= (uint8_t)InstClass::NumClasses)
-            return bad("unknown class " + std::to_string(cls));
-        si.cls = (InstClass)cls;
-        if (si.takenIdx != kNoTarget &&
-            (si.takenIdx < 0 || (uint64_t)si.takenIdx >= num_insts)) {
-            return bad("takenIdx " + std::to_string(si.takenIdx) +
-                       " out of range");
         }
-        if (si.behaviorId != kNoBehavior && si.behaviorId < 0)
-            return bad("negative behaviorId");
-        if (!seen_ips.insert(si.ip).second)
-            return bad("duplicate ip " + std::to_string(si.ip));
-        code->append(si);
+        for (uint64_t j = 0; j < n; ++j) {
+            const uint64_t i = base + j;
+            const unsigned char *p = buf.data() + j * kInstBytes;
+            StaticInst si;
+            si.ip = load<uint64_t>(p);
+            si.length = p[8];
+            si.numUops = p[9];
+            const uint8_t cls = p[10];
+            si.takenIdx = load<int32_t>(p + 11);
+            si.behaviorId = load<int32_t>(p + 15);
+
+            auto bad = [&](const std::string &what) {
+                r.error = Status::error("instruction " +
+                                        std::to_string(i) + ": " + what)
+                              .withOffset(chunk_off + j * kInstBytes)
+                              .withFile(path);
+                return r.error;
+            };
+            if (si.length < 1 || si.length > 15)
+                return bad("length " + std::to_string(si.length) +
+                           " outside 1..15");
+            if (si.numUops < 1 || si.numUops > 16)
+                return bad("uop count " + std::to_string(si.numUops) +
+                           " outside 1..16");
+            if (cls >= (uint8_t)InstClass::NumClasses)
+                return bad("unknown class " + std::to_string(cls));
+            si.cls = (InstClass)cls;
+            if (si.takenIdx != kNoTarget &&
+                (si.takenIdx < 0 || (uint64_t)si.takenIdx >= num_insts)) {
+                return bad("takenIdx " + std::to_string(si.takenIdx) +
+                           " out of range");
+            }
+            if (si.behaviorId != kNoBehavior && si.behaviorId < 0)
+                return bad("negative behaviorId");
+            if (!seen_ips.insert(si.ip).second)
+                return bad("duplicate ip " + std::to_string(si.ip));
+            code->append(si);
+        }
     }
     code->finalize();
 
@@ -267,29 +340,41 @@ readTraceEx(const std::string &path)
     }
     std::vector<TraceRecord> records;
     records.reserve((std::size_t)num_records);
-    for (uint64_t i = 0; i < num_records; ++i) {
-        uint64_t rec_off = r.offset;
-        TraceRecord rec;
-        rec.staticIdx = r.get<int32_t>("record");
-        rec.taken = r.get<uint8_t>("record");
-        if (!r.error.isOk())
+    for (uint64_t base = 0; base < num_records;
+         base += kTraceRecordsPerChunk) {
+        const uint64_t n =
+            std::min(kTraceRecordsPerChunk, num_records - base);
+        const uint64_t chunk_off = r.offset;
+        if (!r.readItems(buf.data(), n, kRecordBytes, kRecordFields,
+                         "record")) {
             return r.error.withFile(path);
-        if (rec.staticIdx < 0 ||
-            (uint64_t)rec.staticIdx >= num_insts) {
-            return Status::error("record " + std::to_string(i) +
-                                 ": staticIdx " +
-                                 std::to_string(rec.staticIdx) +
-                                 " out of range")
-                .withOffset(rec_off).withFile(path);
         }
-        if (rec.taken > 1) {
-            return Status::error("record " + std::to_string(i) +
-                                 ": taken flag " +
-                                 std::to_string(rec.taken) +
-                                 " is not 0/1")
-                .withOffset(rec_off).withFile(path);
+        for (uint64_t j = 0; j < n; ++j) {
+            const uint64_t i = base + j;
+            const unsigned char *p = buf.data() + j * kRecordBytes;
+            const int32_t idx = load<int32_t>(p);
+            const uint8_t taken = p[4];
+            if (idx < 0 || (uint64_t)idx >= num_insts) {
+                return Status::error("record " + std::to_string(i) +
+                                     ": staticIdx " +
+                                     std::to_string(idx) +
+                                     " out of range")
+                    .withOffset(chunk_off + j * kRecordBytes)
+                    .withFile(path);
+            }
+            if (taken > 1) {
+                return Status::error("record " + std::to_string(i) +
+                                     ": taken flag " +
+                                     std::to_string(taken) +
+                                     " is not 0/1")
+                    .withOffset(chunk_off + j * kRecordBytes)
+                    .withFile(path);
+            }
+            TraceRecord rec;
+            rec.staticIdx = idx;
+            rec.taken = taken;
+            records.push_back(rec);
         }
-        records.push_back(rec);
     }
 
     if (r.remaining() != 0) {

@@ -16,11 +16,18 @@
  *
  * readTraceEx() validates everything before constructing the Trace:
  * the magic, the name/instruction/record counts against the file
- * size, each instruction's length (1..15), uop count (1..16), class
- * and takenIdx range, IP uniqueness, and each record's staticIdx
- * range and taken flag. Trailing bytes after the record section are
- * rejected too. A malformed file therefore yields a Status with the
- * offending byte offset, never UB or an abort.
+ * size, the instruction count against the 2^30 static index space
+ * (kMaxStaticInsts), each instruction's length (1..15), uop count
+ * (1..16), class and takenIdx range, IP uniqueness, and each record's
+ * staticIdx range and taken flag. Trailing bytes after the record
+ * section are rejected too. A malformed file therefore yields a
+ * Status with the offending byte offset, never UB or an abort.
+ *
+ * Both directions move the instruction and record sections through
+ * one fixed buffer, a bounded chunk per fread/fwrite (see the
+ * k*PerChunk constants). Beyond the Trace itself, reading a trace
+ * costs 320 KiB plus the IP-uniqueness set, whatever the record
+ * count: the file is never held whole in memory, nor mapped.
  */
 
 #ifndef XBS_TRACE_TRACE_IO_HH
@@ -38,6 +45,11 @@ namespace xbs
  *  but no legitimate name approaches this; enforcing a tight cap
  *  turns a corrupt length into an early structured error. */
 constexpr std::size_t kMaxTraceNameLen = 4096;
+
+/** Instructions (19 bytes each) and records (5 bytes each) moved
+ *  per fread or fwrite. */
+constexpr uint64_t kTraceInstsPerChunk = 4096;
+constexpr uint64_t kTraceRecordsPerChunk = 65536;
 
 /** Write @p trace to @p path; returns an error Status (with file and
  *  byte-offset context) on I/O failure or a name exceeding the

@@ -373,8 +373,10 @@ std::shared_ptr<const Program>
 ProgramBuilder::build()
 {
     const unsigned n = profile_.numFunctions;
+    // Not "f" + to_string(f): gcc 12 flags that with a false
+    // -Wrestrict warning.
     for (unsigned f = 0; f < n; ++f)
-        cfg_.addFunction("f" + std::to_string(f));
+        cfg_.addFunction(std::string("f").append(std::to_string(f)));
 
     // Global popularity: a random permutation ranks the functions;
     // popular functions attract call sites from everywhere, giving

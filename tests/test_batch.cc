@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <utility>
 
 #include <sys/stat.h>
 #include <unistd.h>
@@ -34,6 +35,7 @@
 #include "common/fs.hh"
 #include "verify/crash_matrix.hh"
 #include "workload/catalog.hh"
+#include "workload/profile.hh"
 
 using namespace xbs;
 
@@ -481,6 +483,48 @@ TEST(CacheKey, UnknownWorkloadFails)
     RunSpec run = gccSpec();
     run.workload = "no-such-workload";
     EXPECT_FALSE(makeCacheKey(run).ok());
+}
+
+namespace
+{
+
+/** Converts to a reference of any type, so it can stand for any
+ *  field in a brace initializer (only in unevaluated contexts). */
+struct AnyField
+{
+    template <typename T>
+    operator T &() const;
+};
+
+template <typename T, std::size_t... I>
+constexpr bool
+bracesAccept(std::index_sequence<I...>)
+{
+    return requires { T{((void)I, AnyField{})...}; };
+}
+
+/** Field count of aggregate @p T: its longest brace initializer. */
+template <typename T, std::size_t N = 0>
+constexpr std::size_t
+aggregateFieldCount()
+{
+    if constexpr (bracesAccept<T>(std::make_index_sequence<N + 1>{}))
+        return aggregateFieldCount<T, N + 1>();
+    else
+        return N;
+}
+
+} // anonymous namespace
+
+TEST(CacheKey, WorkloadHashListsEveryProfileField)
+{
+    // workloadContentHash names WorkloadProfile's fields one by one;
+    // a field it misses would let a retuned profile hit stale cache
+    // entries. It hashes 32 fields.
+    EXPECT_EQ(aggregateFieldCount<WorkloadProfile>(), 32u)
+        << "WorkloadProfile's field count changed: hash every field "
+           "in workloadContentHash (src/batch/result_cache.cc), then "
+           "update this count";
 }
 
 TEST(ResultCache, StoreLookupRoundTripIsExact)

@@ -283,8 +283,9 @@ TEST(CkptInject, SeededFlipsAlwaysRejected)
         EXPECT_NE(bad, good);
         Expected<CheckpointFile> file = parseCheckpoint(bad);
         EXPECT_FALSE(file.ok()) << "seed " << seed << " undetected";
-        if (!file.ok())
+        if (!file.ok()) {
             EXPECT_EQ(file.status().code(), StatusCode::Corrupt);
+        }
     }
 }
 

@@ -36,6 +36,22 @@ TEST(Trace, BasicProperties)
     t.validate();
 }
 
+TEST(Trace, RecordHoldsLargestIndexAndTakenBit)
+{
+    TraceRecord r;
+    r.staticIdx = (int32_t)(kMaxStaticInsts - 1);
+    r.taken = 1;
+    const TraceRecord copy = r;
+    EXPECT_EQ(copy.staticIdx, (1 << 30) - 1);
+    EXPECT_EQ(copy.taken, 1);
+    r.taken = 0;
+    EXPECT_EQ(r.staticIdx, (1 << 30) - 1);
+    r.staticIdx = 0;
+    r.taken = 1;
+    EXPECT_EQ(r.staticIdx, 0);
+    EXPECT_EQ(r.taken, 1);
+}
+
 TEST(Trace, ValidateCatchesBadSuccessor)
 {
     CodeBuilder cb;

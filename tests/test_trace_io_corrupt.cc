@@ -4,13 +4,23 @@
  * the malformed corpus under tests/data/ must come back as a
  * structured Status (never an abort or UB), with the cause naming the
  * defect and the byte offset populated; the writer must refuse values
- * the format cannot represent instead of silently wrapping.
+ * the format cannot represent instead of silently wrapping. Traces
+ * generated at test time check that data spanning several I/O chunks
+ * round-trips and keeps its exact error offsets.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/status.hh"
 #include "test_helpers.hh"
@@ -45,6 +55,65 @@ expectCorrupt(const std::string &file, const std::string &expect_substr)
     // Every corpus defect sits at a known place in the byte stream.
     EXPECT_TRUE(st.offset().has_value())
         << "error carries no byte offset: " << st.toString();
+}
+
+std::string
+readBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), (std::streamsize)bytes.size());
+}
+
+/** Serialized sizes of one instruction and one record. */
+constexpr uint64_t kInstBytes = 19;
+constexpr uint64_t kRecordBytes = 5;
+
+/** Byte offset of @p t's first instruction once written. */
+uint64_t
+instsStart(const Trace &t)
+{
+    return 4 + 4 + t.name().size() + 8;
+}
+
+/** Byte offset of @p t's first record once written. */
+uint64_t
+recordsStart(const Trace &t)
+{
+    return instsStart(t) + t.code().size() * kInstBytes + 8;
+}
+
+/**
+ * A valid trace whose instruction and record sections each hold
+ * three items more than one I/O chunk: a straight run of
+ * kTraceInstsPerChunk + 1 instructions, a conditional branch back to
+ * the top (taken two trips in three) and a jump back to the top.
+ */
+Trace
+makeMultiChunkTrace()
+{
+    CodeBuilder cb;
+    for (uint64_t i = 0; i < kTraceInstsPerChunk + 1; ++i)
+        cb.seq((uint8_t)(1 + i % 3));
+    const int32_t br = cb.cond(0);
+    const int32_t jmp = cb.jump(0);
+    auto code = cb.finalize();
+
+    std::vector<std::pair<int32_t, bool>> path;
+    int32_t pc = 0;
+    unsigned trips = 0;
+    while (path.size() < kTraceRecordsPerChunk + 3) {
+        const bool taken = pc == br && ++trips % 3 != 0;
+        path.emplace_back(pc, taken);
+        pc = (taken || pc == jmp) ? 0 : pc + 1;
+    }
+    return makeTestTrace(code, path, "chunks");
 }
 
 TEST(TraceIoCorpus, ValidControlParses)
@@ -133,6 +202,139 @@ TEST(TraceIoCorpus, TruncatedRecordSection)
 TEST(TraceIoCorpus, TrailingBytes)
 {
     expectCorrupt("trailing_bytes.xbt", "trailing bytes");
+}
+
+TEST(TraceIoCorpus, RewritingValidFileIsByteIdentical)
+{
+    // The writer's output format is pinned by the corpus itself.
+    Expected<Trace> t = readTraceEx(dataPath("valid_min.xbt"));
+    ASSERT_TRUE(t.ok()) << t.status().toString();
+    const std::string path =
+        testing::TempDir() + "/xbs_valid_min_rewrite.xbt";
+    ASSERT_TRUE(writeTraceEx(t.value(), path).isOk());
+    EXPECT_EQ(readBytes(path), readBytes(dataPath("valid_min.xbt")));
+    std::remove(path.c_str());
+}
+
+TEST(TraceIoCorpus, InstructionCountBeyondIndexSpace)
+{
+    // 2^30 + 1 instructions need ~19 GiB, so the file is sparse: a
+    // header, then a hole up to the size the count implies. The
+    // reader must refuse the count before reading any instruction.
+    const uint64_t count = kMaxStaticInsts + 1;
+    const std::string path = testing::TempDir() + "/xbs_2pow30.xbt";
+    std::string header("XBT1\0\0\0\0", 8);
+    header.append((const char *)&count, 8);
+    writeBytes(path, header);
+    if (truncate(path.c_str(),
+                 (off_t)(header.size() + count * kInstBytes + 8)) != 0) {
+        std::remove(path.c_str());
+        GTEST_SKIP() << "no sparse file support: " << std::strerror(errno);
+    }
+    Expected<Trace> t = readTraceEx(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(t.ok());
+    EXPECT_NE(t.status().toString().find(
+                  "instruction count 1073741825 exceeds the 2^30 "
+                  "static index space"),
+              std::string::npos)
+        << t.status().toString();
+    ASSERT_TRUE(t.status().offset().has_value());
+    EXPECT_EQ(*t.status().offset(), header.size());
+}
+
+// ---------------------------------------------------------------
+// Sections longer than one I/O chunk.
+
+TEST(TraceIoChunks, RoundTripAcrossChunkBoundaries)
+{
+    const Trace t = makeMultiChunkTrace();
+    ASSERT_EQ(t.code().size(), kTraceInstsPerChunk + 3);
+    ASSERT_EQ(t.numRecords(), kTraceRecordsPerChunk + 3);
+    t.validate();
+
+    const std::string path = testing::TempDir() + "/xbs_chunks.xbt";
+    ASSERT_TRUE(writeTraceEx(t, path).isOk());
+    EXPECT_EQ(readBytes(path).size(),
+              recordsStart(t) + t.numRecords() * kRecordBytes);
+    Expected<Trace> back = readTraceEx(path);
+    std::remove(path.c_str());
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    const Trace &u = back.value();
+
+    ASSERT_EQ(u.code().size(), t.code().size());
+    for (int32_t i = 0; i < (int32_t)t.code().size(); ++i) {
+        const StaticInst &a = t.code().inst(i);
+        const StaticInst &b = u.code().inst(i);
+        ASSERT_EQ(b.ip, a.ip) << "instruction " << i;
+        ASSERT_EQ(b.length, a.length) << "instruction " << i;
+        ASSERT_EQ(b.numUops, a.numUops) << "instruction " << i;
+        ASSERT_EQ(b.cls, a.cls) << "instruction " << i;
+        ASSERT_EQ(b.takenIdx, a.takenIdx) << "instruction " << i;
+        ASSERT_EQ(b.behaviorId, a.behaviorId) << "instruction " << i;
+    }
+    ASSERT_EQ(u.numRecords(), t.numRecords());
+    for (std::size_t i = 0; i < t.numRecords(); ++i) {
+        ASSERT_EQ(u.record(i).staticIdx, t.record(i).staticIdx)
+            << "record " << i;
+        ASSERT_EQ(u.record(i).taken, t.record(i).taken)
+            << "record " << i;
+    }
+    EXPECT_EQ(u.totalUops(), t.totalUops());
+    EXPECT_EQ(u.name(), "chunks");
+    u.validate();
+}
+
+TEST(TraceIoChunks, BadRecordInSecondChunkReportsExactOffset)
+{
+    const Trace t = makeMultiChunkTrace();
+    const std::string path = testing::TempDir() + "/xbs_chunk_rec.xbt";
+    ASSERT_TRUE(writeTraceEx(t, path).isOk());
+
+    const uint64_t n = kTraceRecordsPerChunk + 1;
+    const uint64_t at = recordsStart(t) + n * kRecordBytes;
+    const int32_t idx = (int32_t)t.code().size();
+    std::string bytes = readBytes(path);
+    ASSERT_GT(bytes.size(), at + 4);
+    std::memcpy(&bytes[at], &idx, 4);
+    writeBytes(path, bytes);
+
+    Expected<Trace> back = readTraceEx(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(back.ok());
+    EXPECT_NE(back.status().cause().find(
+                  "record " + std::to_string(n) + ": staticIdx " +
+                  std::to_string(idx) + " out of range"),
+              std::string::npos)
+        << back.status().toString();
+    ASSERT_TRUE(back.status().offset().has_value());
+    EXPECT_EQ(*back.status().offset(), at);
+}
+
+TEST(TraceIoChunks, BadInstructionInSecondChunkReportsExactOffset)
+{
+    const Trace t = makeMultiChunkTrace();
+    const std::string path =
+        testing::TempDir() + "/xbs_chunk_inst.xbt";
+    ASSERT_TRUE(writeTraceEx(t, path).isOk());
+
+    // The class byte of the second chunk's second instruction.
+    const uint64_t n = kTraceInstsPerChunk + 1;
+    const uint64_t at = instsStart(t) + n * kInstBytes;
+    std::string bytes = readBytes(path);
+    bytes[at + 10] = 99;
+    writeBytes(path, bytes);
+
+    Expected<Trace> back = readTraceEx(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(back.ok());
+    EXPECT_NE(back.status().cause().find(
+                  "instruction " + std::to_string(n) +
+                  ": unknown class 99"),
+              std::string::npos)
+        << back.status().toString();
+    ASSERT_TRUE(back.status().offset().has_value());
+    EXPECT_EQ(*back.status().offset(), at);
 }
 
 // ---------------------------------------------------------------
