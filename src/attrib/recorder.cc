@@ -79,13 +79,6 @@ AttribRecorder::chargeSilentCycle()
     ++*cycles_[idx(c)];
 }
 
-void
-AttribRecorder::chargeSilentCycles(uint64_t n)
-{
-    for (uint64_t i = 0; i < n; ++i)
-        chargeSilentCycle();
-}
-
 uint64_t
 AttribRecorder::chargedUops() const
 {

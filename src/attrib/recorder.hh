@@ -87,10 +87,6 @@ class AttribRecorder : public StatGroup
      *  `++metrics.stallCycles`. */
     void chargeSilentCycle();
 
-    /** Bulk variant for frontends that add stall cycles in one shot
-     *  (the IC baseline). */
-    void chargeSilentCycles(uint64_t n);
-
     /** Build-mode residency: call alongside `++metrics.buildCycles`. */
     void chargeBuildCycle() { ++buildResidency; }
 

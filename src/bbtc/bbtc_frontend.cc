@@ -14,10 +14,8 @@ namespace xbs
 BbtcFrontend::BbtcFrontend(const FrontendParams &params,
                            const BbtcParams &bbtc_params)
     : Frontend("bbtc", params), bbtcParams_(bbtc_params),
-      preds_(params_), pipe_(params_, metrics_, preds_, &probes_),
       blocks_(bbtc_params.blocks, &root_)
 {
-    pipe_.attachAttrib(&attrib_);
     ttSets_ = 1u << floorLog2(std::max(
                   1u, bbtcParams_.traceTableEntries /
                           bbtcParams_.traceTableWays));
@@ -75,10 +73,10 @@ BbtcFrontend::restartFill()
 }
 
 bool
-BbtcFrontend::feedFill(const Trace &trace, std::size_t rec)
+BbtcFrontend::fillRecord(const Trace &trace, std::size_t i, bool)
 {
-    const StaticInst &si = trace.inst(rec);
-    const int32_t idx = trace.record(rec).staticIdx;
+    const StaticInst &si = trace.inst(i);
+    const int32_t idx = trace.record(i).staticIdx;
 
     if (!fillBlock_.valid) {
         fillBlock_.valid = true;
@@ -221,12 +219,8 @@ loadBlock(CkptSource &src, CachedBlock &b)
 } // namespace
 
 void
-BbtcFrontend::saveState(CheckpointWriter &w) const
+BbtcFrontend::saveStructure(CkptSink &sink) const
 {
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
     blocks_.ckptSave(sink);
 
     sink.u64(tt_.size());
@@ -245,23 +239,11 @@ BbtcFrontend::saveState(CheckpointWriter &w) const
     for (uint64_t ip : fillPtrs_)
         sink.u64(ip);
     sink.u64(fillStartIp_);
-    w.addSection("bbtc", sink.take());
 }
 
-Status
-BbtcFrontend::restoreState(const CheckpointFile &f)
+void
+BbtcFrontend::loadStructure(CkptSource &src)
 {
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("bbtc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks a 'bbtc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
     blocks_.ckptLoad(src);
 
     uint64_t n = src.count(25);
@@ -297,102 +279,52 @@ BbtcFrontend::restoreState(const CheckpointFile &f)
             fillPtrs_.push_back(ip);
     }
     fillStartIp_ = src.u64();
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'bbtc' section");
-    }
-    return Status::ok();
 }
 
 void
-BbtcFrontend::run(const Trace &trace)
+BbtcFrontend::startRun(const Trace &, bool cold)
 {
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned buffer = 0;
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        buffer = resume->buffer;
-        stall = resume->stall;
-    } else {
+    if (cold)
         restartFill();
-        attrib_.enterBuild(Cause::ColdStart);
+}
+
+Frontend::Delivery
+BbtcFrontend::deliveryCycle(const Trace &trace)
+{
+    if (loop_.buffer >= params_.renamerWidth ||
+        loop_.rec >= trace.numRecords()) {
+        return Delivery::Counted;
     }
-
-    while ((rec < num_records || buffer > 0) && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, buffer,
-                        stall);
-        ++metrics_.cycles;
-        metrics_.traceRecords.set(rec);
-        observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
-
-        if (stall > 0) {
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            buffer -= std::min(buffer, params_.renamerWidth);
-            continue;
-        }
-
-        if (mode == Mode::Delivery) {
-            ++metrics_.deliveryCycles;
-            if (buffer < params_.renamerWidth && rec < num_records) {
-                ScopedPhase arrayTimer(prof_, phArray_);
-                ++traceLookups;
-                TraceEntry *e = ttFind(trace.inst(rec).ip);
-                if (e) {
-                    ++traceHits;
-                    e->lru = ++ttClock_;
-                    unsigned got = supplyTrace(trace, *e, rec, stall);
-                    if (got == 0 && stall == 0 && buffer == 0) {
-                        // Hit with nothing usable: rebuild.
-                        mode = Mode::Build;
-                        ++metrics_.modeSwitches;
-                        restartFill();
-                        attrib_.enterBuild(Cause::PartialHit);
-                        --metrics_.deliveryCycles;
-                        continue;
-                    }
-                    metrics_.deliveryUops += got;
-                    buffer += got;
-                } else if (buffer == 0) {
-                    mode = Mode::Build;
-                    ++metrics_.modeSwitches;
-                    restartFill();
-                    attrib_.enterBuild(Cause::StructMiss);
-                    --metrics_.deliveryCycles;
-                    continue;
-                }
-            }
-            unsigned drained = std::min(buffer, params_.renamerWidth);
-            metrics_.renamedUops += drained;
-            buffer -= drained;
-        } else {
-            ++metrics_.buildCycles;
-            attrib_.chargeBuildCycle();
-            std::size_t prev = rec;
-            ScopedPhase buildTimer(prof_, phBuild_);
-            LegacyPipe::Result r = pipe_.cycle(trace, rec);
-            metrics_.buildUops += r.uops;
-            attrib_.chargeBuildUops(r.uops);
-            stall += r.stall;
-            bool completed = false;
-            for (std::size_t i = prev; i < rec; ++i) {
-                oracleConsume(i, kNoTarget, 0);
-                completed |= feedFill(trace, i);
-            }
-            if (completed && rec < num_records &&
-                ttFind(trace.inst(rec).ip)) {
-                mode = Mode::Delivery;
-            }
-        }
+    ScopedPhase arrayTimer(prof_, phArray_);
+    ++traceLookups;
+    TraceEntry *e = ttFind(trace.inst(loop_.rec).ip);
+    // A miss with the buffer empty loses this cycle: build starts
+    // next cycle.
+    if (!e) {
+        if (loop_.buffer > 0)
+            return Delivery::Counted;
+        restartFill();
+        return switchToBuild(Cause::StructMiss, Delivery::BuildNext);
     }
-    metrics_.traceRecords.set(rec);
-    traceModeDone();
+    ++traceHits;
+    e->lru = ++ttClock_;
+    unsigned got = supplyTrace(trace, *e, loop_.rec, loop_.stall);
+    if (got == 0 && loop_.stall == 0 && loop_.buffer == 0) {
+        // Hit with nothing usable: rebuild.
+        restartFill();
+        return switchToBuild(Cause::PartialHit, Delivery::BuildNext);
+    }
+    metrics_.deliveryUops += got;
+    loop_.buffer += got;
+    return Delivery::Counted;
+}
+
+bool
+BbtcFrontend::exitBuild(const Trace &trace, std::size_t rec,
+                        bool completed)
+{
+    return completed && rec < trace.numRecords() &&
+           ttFind(trace.inst(rec).ip);
 }
 
 double

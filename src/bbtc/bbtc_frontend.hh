@@ -14,8 +14,6 @@
 
 #include "bbtc/block_cache.hh"
 #include "frontend/frontend.hh"
-#include "frontend/predictors.hh"
-#include "ic/legacy_pipe.hh"
 
 namespace xbs
 {
@@ -32,18 +30,11 @@ struct BbtcParams
     unsigned traceTableWays = 4;
 };
 
-class BbtcFrontend : public Frontend
+class BbtcFrontend final : public Frontend
 {
   public:
     BbtcFrontend(const FrontendParams &params,
                  const BbtcParams &bbtc_params);
-
-    void run(const Trace &trace) override;
-
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
 
     const BlockCache &blockCache() const { return blocks_; }
 
@@ -59,16 +50,21 @@ class BbtcFrontend : public Frontend
     ScalarStat partialHits{&root_, "partialHits",
         "trace supplies cut short by path divergence"};
 
-  protected:
-    void
-    registerPhases(PhaseProfiler *prof) override
-    {
-        // The legacy pipe runs as this frontend's build path.
-        pipe_.attachProfiler(prof, phBuild_);
-    }
-
   private:
-    enum class Mode { Build, Delivery };
+    /// @{ Checkpoint hooks: the "bbtc" section's structures.
+    const char *ckptSection() const override { return "bbtc"; }
+    void saveStructure(CkptSink &sink) const override;
+    void loadStructure(CkptSource &src) override;
+    /// @}
+
+    /// @{ Cycle-loop hooks.
+    void startRun(const Trace &trace, bool cold) override;
+    Delivery deliveryCycle(const Trace &trace) override;
+    bool fillRecord(const Trace &trace, std::size_t i,
+                    bool last) override;
+    bool exitBuild(const Trace &trace, std::size_t rec,
+                   bool completed) override;
+    /// @}
 
     struct TraceEntry
     {
@@ -87,8 +83,6 @@ class BbtcFrontend : public Frontend
                          std::size_t &rec, unsigned &stall);
 
     BbtcParams bbtcParams_;
-    PredictorBank preds_;
-    LegacyPipe pipe_;
     BlockCache blocks_;
 
     unsigned ttSets_;
@@ -102,8 +96,6 @@ class BbtcFrontend : public Frontend
     /// @}
 
     void restartFill();
-    /** Feed one instruction; returns true when a trace completed. */
-    bool feedFill(const Trace &trace, std::size_t rec);
 };
 
 } // namespace xbs

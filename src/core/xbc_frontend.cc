@@ -11,7 +11,6 @@ namespace xbs
 XbcFrontend::XbcFrontend(const FrontendParams &params,
                          const XbcParams &xbc_params)
     : Frontend("xbcfe", params), xbcParams_(xbc_params),
-      preds_(params_), pipe_(params_, metrics_, preds_, &probes_),
       array_(xbcParams_, &root_, &probes_),
       xbtb_(xbcParams_.xbtbEntries, xbcParams_.xbtbWays, &root_),
       xibtb_(xbcParams_.xibtbSets, xbcParams_.xibtbWays, &root_),
@@ -24,7 +23,6 @@ XbcFrontend::XbcFrontend(const FrontendParams &params,
                  (std::size_t)xbcParams_.numBanks *
                      array_.numSets() * xbcParams_.ways)
 {
-    pipe_.attachAttrib(&attrib_);
     array_.setEventSink(&arrayAcct_);
 }
 
@@ -497,8 +495,7 @@ XbcFrontend::supplySlot(const Trace &trace, std::size_t &rec,
 void
 XbcFrontend::handleCompletion(const Trace &trace,
                               const XbcFillUnit::Completion &comp,
-                              std::size_t rec, bool can_exit,
-                              Mode &mode)
+                              std::size_t rec, bool can_exit)
 {
     // Chain the previously executed XB to the freshly stored one.
     linkPrev(comp.startPtr);
@@ -576,45 +573,38 @@ XbcFrontend::handleCompletion(const Trace &trace,
         array_.findQuiet(cand.xbIp, cand.entryIdx).variant) {
         cur_ = cand;
         curIsContinuation_ = false;
-        mode = Mode::Delivery;
         ++buildExits;
     }
 }
 
-void
-XbcFrontend::buildCycle(const Trace &trace, std::size_t &rec,
-                        unsigned &stall, Mode &mode)
+bool
+XbcFrontend::fillRecord(const Trace &trace, std::size_t i, bool last)
 {
-    ++metrics_.buildCycles;
-    attrib_.chargeBuildCycle();
-    std::size_t prev_rec = rec;
-    ScopedPhase buildTimer(prof_, phBuild_);
-    LegacyPipe::Result r = pipe_.cycle(trace, rec);
-    metrics_.buildUops += r.uops;
-    attrib_.chargeBuildUops(r.uops);
-    stall += r.stall;
-    for (std::size_t i = prev_rec; i < rec; ++i) {
-        oracleConsume(i, kNoTarget, 0);
-        auto comp = fill_.feed(trace, i);
-        if (comp.completed) {
-            handleCompletion(trace, comp, i + 1, i + 1 == rec, mode);
-            if (xbcParams_.checkInvariantsEveryN &&
-                ++completionsSinceCheck_ >=
-                    xbcParams_.checkInvariantsEveryN) {
-                completionsSinceCheck_ = 0;
-                array_.checkInvariants();
-            }
+    auto comp = fill_.feed(trace, i);
+    if (comp.completed) {
+        handleCompletion(trace, comp, i + 1, last);
+        if (xbcParams_.checkInvariantsEveryN &&
+            ++completionsSinceCheck_ >=
+                xbcParams_.checkInvariantsEveryN) {
+            completionsSinceCheck_ = 0;
+            array_.checkInvariants();
         }
     }
+    return comp.completed;
+}
+
+bool
+XbcFrontend::exitBuild(const Trace &, std::size_t, bool)
+{
+    // Build mode starts with cur_ invalid (cold start, or the miss
+    // that left delivery); only handleCompletion's exit check makes
+    // it valid again.
+    return cur_.valid;
 }
 
 void
-XbcFrontend::saveState(CheckpointWriter &w) const
+XbcFrontend::saveStructure(CkptSink &sink) const
 {
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
     array_.ckptSave(sink);
     xbtb_.ckptSave(sink);
     xibtb_.ckptSave(sink);
@@ -626,23 +616,11 @@ XbcFrontend::saveState(CheckpointWriter &w) const
     sink.u8((uint8_t)prev_.kind);
     sink.u64(prev_.xbIp);
     sink.u32(completionsSinceCheck_);
-    w.addSection("xbc", sink.take());
 }
 
-Status
-XbcFrontend::restoreState(const CheckpointFile &f)
+void
+XbcFrontend::loadStructure(CkptSource &src)
 {
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("xbc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks an 'xbc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
     array_.ckptLoad(src);
     xbtb_.ckptLoad(src);
     xibtb_.ckptLoad(src);
@@ -656,112 +634,61 @@ XbcFrontend::restoreState(const CheckpointFile &f)
     prev_.kind = (PrevLink::Kind)kind;
     prev_.xbIp = src.u64();
     completionsSinceCheck_ = src.u32();
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'xbc' section");
-    }
-    return Status::ok();
 }
 
 void
-XbcFrontend::run(const Trace &trace)
+XbcFrontend::startRun(const Trace &trace, bool cold)
 {
     array_.bindCode(&trace.code());
-
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned buffer = 0;
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        buffer = resume->buffer;
-        stall = resume->stall;
-    } else {
+    if (cold) {
         cur_ = XbPointer{};
         curIsContinuation_ = false;
         prev_ = PrevLink{};
         fill_.restart();
-        attrib_.enterBuild(Cause::ColdStart);
+    }
+}
+
+Frontend::Delivery
+XbcFrontend::deliveryCycle(const Trace &trace)
+{
+    const std::size_t num_records = trace.numRecords();
+    RunLoopState &s = loop_;
+
+    // The exit check in handleCompletion switched us here with a
+    // valid cur_; if cur_ has gone invalid (XBC/XBTB miss), wait for
+    // the buffer to drain, then fall back to build mode.
+    if (!cur_.valid && s.buffer == 0 && s.rec < num_records) {
+        fill_.restart();
+        // The real cause was noted at the invalidating event;
+        // Unattributed only backstops an unnoted invalidation.
+        return switchToBuild(Cause::Unattributed, Delivery::BuildNow);
     }
 
-    while ((rec < num_records || buffer > 0) && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, buffer,
-                        stall);
-        ++metrics_.cycles;
-        metrics_.traceRecords.set(rec);
-        observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
-
-        if (stall > 0) {
-            // Fetch-silent bubble; the buffer keeps draining, but
-            // neither the uops nor the cycle count toward the
-            // steady-state bandwidth metric.
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            buffer -= std::min(buffer, params_.renamerWidth);
-            continue;
-        }
-
-        if (mode == Mode::Build) {
-            buildCycle(trace, rec, stall, mode);
-            continue;
-        }
-
-        // Delivery cycle.
-        ++metrics_.deliveryCycles;
-
-        // The exit check in handleCompletion switched us here with a
-        // valid cur_; if cur_ has gone invalid (XBC/XBTB miss), wait
-        // for the buffer to drain, then fall back to build mode.
-        if (!cur_.valid && buffer == 0 && rec < num_records) {
-            --metrics_.deliveryCycles;
-            ++metrics_.modeSwitches;
-            fill_.restart();
-            // The real cause was noted at the invalidating event;
-            // Unattributed only backstops an unnoted invalidation.
-            attrib_.enterBuild(Cause::Unattributed);
-            mode = Mode::Build;
-            buildCycle(trace, rec, stall, mode);
-            continue;
-        }
-
-        unsigned fetched = 0;
-        cycleMux_.clear();
-        prio_.reset();
-        {
-            ScopedPhase arrayTimer(prof_, phArray_);
-            for (unsigned slot = 0;
-                 slot < xbcParams_.fetchXbsPerCycle &&
-                 rec < num_records;
-                 ++slot) {
-                if (!cur_.valid || stall > 0)
-                    break;
-                if (buffer >= params_.renamerWidth)
-                    break;
-                if (fetched >= xbcParams_.xbQuotaUops)
-                    break;
-                unsigned got = supplySlot(trace, rec, fetched, stall);
-                metrics_.deliveryUops += got;
-                buffer += got;
-                if (got == 0)
-                    break;
-            }
-        }
-
-        if (!cycleMux_.empty())
-            outMux_.plan(cycleMux_);
-
-        {
-            unsigned drained = std::min(buffer, params_.renamerWidth);
-            metrics_.renamedUops += drained;
-            buffer -= drained;
+    unsigned fetched = 0;
+    cycleMux_.clear();
+    prio_.reset();
+    {
+        ScopedPhase arrayTimer(prof_, phArray_);
+        for (unsigned slot = 0;
+             slot < xbcParams_.fetchXbsPerCycle && s.rec < num_records;
+             ++slot) {
+            if (!cur_.valid || s.stall > 0)
+                break;
+            if (s.buffer >= params_.renamerWidth)
+                break;
+            if (fetched >= xbcParams_.xbQuotaUops)
+                break;
+            unsigned got = supplySlot(trace, s.rec, fetched, s.stall);
+            metrics_.deliveryUops += got;
+            s.buffer += got;
+            if (got == 0)
+                break;
         }
     }
-    metrics_.traceRecords.set(rec);
-    traceModeDone();
+
+    if (!cycleMux_.empty())
+        outMux_.plan(cycleMux_);
+    return Delivery::Counted;
 }
 
 } // namespace xbs

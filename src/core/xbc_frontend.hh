@@ -31,24 +31,15 @@
 #include "core/priority_encoder.hh"
 #include "core/xbtb.hh"
 #include "frontend/frontend.hh"
-#include "frontend/predictors.hh"
-#include "ic/legacy_pipe.hh"
 
 namespace xbs
 {
 
-class XbcFrontend : public Frontend
+class XbcFrontend final : public Frontend
 {
   public:
     XbcFrontend(const FrontendParams &params,
                 const XbcParams &xbc_params);
-
-    void run(const Trace &trace) override;
-
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
 
     const XbcDataArray &dataArray() const { return array_; }
     const Xbtb &xbtbUnit() const { return xbtb_; }
@@ -97,16 +88,21 @@ class XbcFrontend : public Frontend
         "successful build->delivery transitions"};
     /// @}
 
-  protected:
-    void
-    registerPhases(PhaseProfiler *prof) override
-    {
-        // The legacy pipe runs as this frontend's build path.
-        pipe_.attachProfiler(prof, phBuild_);
-    }
-
   private:
-    enum class Mode { Build, Delivery };
+    /// @{ Checkpoint hooks: the "xbc" section's structures.
+    const char *ckptSection() const override { return "xbc"; }
+    void saveStructure(CkptSink &sink) const override;
+    void loadStructure(CkptSource &src) override;
+    /// @}
+
+    /// @{ Cycle-loop hooks.
+    void startRun(const Trace &trace, bool cold) override;
+    Delivery deliveryCycle(const Trace &trace) override;
+    bool fillRecord(const Trace &trace, std::size_t i,
+                    bool last) override;
+    bool exitBuild(const Trace &trace, std::size_t rec,
+                   bool completed) override;
+    /// @}
 
     /** Which pointer of the previously executed XB the next XB's
      *  location must be written into (paper's XBTB update chain). */
@@ -143,12 +139,13 @@ class XbcFrontend : public Frontend
     void maybePromote(Xbtb::Entry &entry);
 
     /** Handle an XFU completion in build mode (linking, XRSB,
-     *  counters, and the build->delivery exit check). The exit is
-     *  only legal for the completion at the cycle's final consumed
-     *  record, so the delivery cursor and cur_ agree. */
+     *  counters, and the build->delivery exit check, which sets a
+     *  valid cur_). The exit is only legal for the completion at the
+     *  cycle's final consumed record, so the delivery cursor and
+     *  cur_ agree. */
     void handleCompletion(const Trace &trace,
                           const XbcFillUnit::Completion &comp,
-                          std::size_t rec, bool can_exit, Mode &mode);
+                          std::size_t rec, bool can_exit);
 
     /**
      * Supply one XB (or its continuation) in a delivery cycle.
@@ -161,13 +158,7 @@ class XbcFrontend : public Frontend
     unsigned supplySlot(const Trace &trace, std::size_t &rec,
                         unsigned &fetched, unsigned &stall);
 
-    /** One build-mode cycle (legacy fetch + XFU feeding). */
-    void buildCycle(const Trace &trace, std::size_t &rec,
-                    unsigned &stall, Mode &mode);
-
     XbcParams xbcParams_;
-    PredictorBank preds_;   ///< gshare doubles as the XBP
-    LegacyPipe pipe_;
     XbcDataArray array_;
     Xbtb xbtb_;
     XiBtb xibtb_;

@@ -1,7 +1,5 @@
 #include "dc/dc_frontend.hh"
 
-#include <algorithm>
-
 #include "frontend/control.hh"
 
 namespace xbs
@@ -9,10 +7,9 @@ namespace xbs
 
 DcFrontend::DcFrontend(const FrontendParams &params,
                        const DecodedCacheParams &dc_params)
-    : Frontend("dcfe", params), dcParams_(dc_params), preds_(params_),
-      pipe_(params_, metrics_, preds_, &probes_), dc_(dcParams_, &root_)
+    : Frontend("dcfe", params), dcParams_(dc_params),
+      dc_(dcParams_, &root_)
 {
-    pipe_.attachAttrib(&attrib_);
 }
 
 unsigned
@@ -81,108 +78,49 @@ DcFrontend::supplyRun(const Trace &trace, std::size_t &rec,
 }
 
 void
-DcFrontend::saveState(CheckpointWriter &w) const
+DcFrontend::saveStructure(CkptSink &sink) const
 {
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
     dc_.ckptSave(sink);
-    w.addSection("dc", sink.take());
-}
-
-Status
-DcFrontend::restoreState(const CheckpointFile &f)
-{
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("dc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks a 'dc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
-    dc_.ckptLoad(src);
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'dc' section");
-    }
-    return Status::ok();
 }
 
 void
-DcFrontend::run(const Trace &trace)
+DcFrontend::loadStructure(CkptSource &src)
 {
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        stall = resume->stall;
-    } else {
-        attrib_.enterBuild(Cause::ColdStart);
-    }
+    dc_.ckptLoad(src);
+}
 
-    while (rec < num_records && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, 0, stall);
-        ++metrics_.cycles;
-        observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
-        if (stall > 0) {
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            continue;
-        }
-
-        if (mode == Mode::Delivery) {
-            bool miss = false;
-            unsigned got;
-            {
-                ScopedPhase timer(prof_, phArray_);
-                got = supplyRun(trace, rec, stall, miss);
-            }
-            metrics_.traceRecords.set(rec);
-            if (miss) {
-                mode = Mode::Build;
-                ++metrics_.modeSwitches;
-                attrib_.enterBuild(Cause::StructMiss);
-                --metrics_.cycles;  // re-issue this cycle as build
-                continue;
-            }
-            ++metrics_.deliveryCycles;
-            metrics_.deliveryUops += got;
-            metrics_.renamedUops += got;
-        } else {
-            ++metrics_.buildCycles;
-            attrib_.chargeBuildCycle();
-            std::size_t prev = rec;
-            ScopedPhase timer(prof_, phBuild_);
-            LegacyPipe::Result r = pipe_.cycle(trace, rec);
-            metrics_.buildUops += r.uops;
-            attrib_.chargeBuildUops(r.uops);
-            stall += r.stall;
-            for (std::size_t i = prev; i < rec; ++i) {
-                oracleConsume(i, kNoTarget, 0);
-                dc_.fill(trace.inst(i), trace.record(i).staticIdx);
-            }
-            metrics_.traceRecords.set(rec);
-            // Return to delivery as soon as the next instruction's
-            // window is cached (no trace/XB build boundary here).
-            if (rec < num_records &&
-                dc_.lookup(trace.inst(rec).ip,
-                           trace.record(rec).staticIdx)
-                    .first) {
-                mode = Mode::Delivery;
-            }
-        }
+Frontend::Delivery
+DcFrontend::deliveryCycle(const Trace &trace)
+{
+    bool miss = false;
+    unsigned got;
+    {
+        ScopedPhase timer(prof_, phArray_);
+        got = supplyRun(trace, loop_.rec, loop_.stall, miss);
     }
-    traceModeDone();
+    if (miss)
+        return switchToBuild(Cause::StructMiss, Delivery::BuildNow);
+    // No decoupling buffer: the run goes straight to the renamer.
+    metrics_.deliveryUops += got;
+    metrics_.renamedUops += got;
+    return Delivery::Counted;
+}
+
+bool
+DcFrontend::fillRecord(const Trace &trace, std::size_t i, bool)
+{
+    dc_.fill(trace.inst(i), trace.record(i).staticIdx);
+    return false;
+}
+
+bool
+DcFrontend::exitBuild(const Trace &trace, std::size_t rec, bool)
+{
+    // Return to delivery as soon as the next instruction's window is
+    // cached (no trace/XB build boundary here).
+    return rec < trace.numRecords() &&
+           dc_.lookup(trace.inst(rec).ip, trace.record(rec).staticIdx)
+               .first;
 }
 
 } // namespace xbs

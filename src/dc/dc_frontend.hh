@@ -12,37 +12,32 @@
 
 #include "dc/decoded_cache.hh"
 #include "frontend/frontend.hh"
-#include "frontend/predictors.hh"
-#include "ic/legacy_pipe.hh"
 
 namespace xbs
 {
 
-class DcFrontend : public Frontend
+class DcFrontend final : public Frontend
 {
   public:
     DcFrontend(const FrontendParams &params,
                const DecodedCacheParams &dc_params);
 
-    void run(const Trace &trace) override;
-
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
-
     const DecodedCache &cache() const { return dc_; }
 
-  protected:
-    void
-    registerPhases(PhaseProfiler *prof) override
-    {
-        // The legacy pipe runs as this frontend's build path.
-        pipe_.attachProfiler(prof, phBuild_);
-    }
-
   private:
-    enum class Mode { Build, Delivery };
+    /// @{ Checkpoint hooks: the "dc" section's structures.
+    const char *ckptSection() const override { return "dc"; }
+    void saveStructure(CkptSink &sink) const override;
+    void loadStructure(CkptSource &src) override;
+    /// @}
+
+    /// @{ Cycle-loop hooks.
+    Delivery deliveryCycle(const Trace &trace) override;
+    bool fillRecord(const Trace &trace, std::size_t i,
+                    bool last) override;
+    bool exitBuild(const Trace &trace, std::size_t rec,
+                   bool completed) override;
+    /// @}
 
     /**
      * Supply one sequential run from the decoded cache.
@@ -52,8 +47,6 @@ class DcFrontend : public Frontend
                        unsigned &stall, bool &miss);
 
     DecodedCacheParams dcParams_;
-    PredictorBank preds_;
-    LegacyPipe pipe_;
     DecodedCache dc_;
 };
 

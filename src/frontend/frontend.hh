@@ -1,8 +1,16 @@
 /**
  * @file
- * Abstract frontend interface: a structure that consumes a dynamic
- * trace and reports cycle/uop metrics. Concrete implementations are
- * IcFrontend, TcFrontend, and XbcFrontend.
+ * Frontend base class: a structure that consumes a dynamic trace and
+ * reports cycle/uop metrics. Concrete implementations are IcFrontend,
+ * DcFrontend, TcFrontend, BbtcFrontend and XbcFrontend.
+ *
+ * The base class owns the one cycle loop (run()) together with what
+ * every frontend shares: the predictor bank, the legacy fetch/decode
+ * pipe and its build cycle, the stall bubble, the renamer drain,
+ * checkpoint parking and per-cycle observation. A concrete frontend
+ * supplies the delivery cycle of its decoded structure and the fill
+ * of that structure from build-mode records (see the hooks below and
+ * docs/MODEL.md, "The per-cycle contract").
  *
  * The simulator is trace-driven with oracle resteer: the frontend
  * always follows the actual dynamic path, consults its predictors
@@ -23,9 +31,7 @@
 
 #include <algorithm>
 #include <csignal>
-#include <cstring>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,9 +40,11 @@
 #include "common/interval_stats.hh"
 #include "common/probe.hh"
 #include "common/stats.hh"
+#include "frontend/legacy_pipe.hh"
 #include "frontend/metrics.hh"
 #include "frontend/oracle.hh"
 #include "frontend/params.hh"
+#include "frontend/predictors.hh"
 #include "prof/phase_profiler.hh"
 #include "trace/trace.hh"
 
@@ -46,8 +54,8 @@ namespace xbs
 class Frontend;
 
 /**
- * Per-cycle observer ticked from every frontend's run loop right
- * after the cycle counter advances. The invariant auditor and the
+ * Per-cycle observer ticked from the run loop right after the cycle
+ * counter advances. The invariant auditor and the
  * fault injectors (src/verify) hang off this; with none attached the
  * cost is one branch per cycle.
  */
@@ -58,36 +66,23 @@ class CycleObserver
     virtual void onCycle(Frontend &fe, uint64_t cycle) = 0;
 };
 
-/**
- * Snapshot of a frontend run loop's scalar state at a checkpoint
- * cycle boundary. The field meanings are frontend-specific (each
- * run() documents its encoding); the base class only stores and
- * round-trips them.
- */
-struct RunLoopState
-{
-    uint64_t rec = 0;     ///< next trace record to process
-    uint32_t mode = 0;    ///< mode-FSM state (frontend encoding)
-    uint32_t buffer = 0;  ///< buffered uops / auxiliary counter
-    uint32_t stall = 0;   ///< pending stall cycles
-};
-
 class Frontend
 {
   public:
-    Frontend(std::string name, const FrontendParams &params)
-        : root_(std::move(name)), metrics_(&root_), params_(params)
-    {
-        probes_.setCycleSource(&metrics_.cycles);
-    }
+    Frontend(std::string name, const FrontendParams &params);
 
     virtual ~Frontend() = default;
 
     Frontend(const Frontend &) = delete;
     Frontend &operator=(const Frontend &) = delete;
 
-    /** Simulate the whole trace, accumulating metrics. */
-    virtual void run(const Trace &trace) = 0;
+    /**
+     * Simulate the trace, accumulating metrics: the one cycle loop
+     * every frontend runs. Resumes from a restored checkpoint when
+     * one is queued, else cold-starts; returns at the end of the
+     * trace or once the attached stop flag is raised.
+     */
+    void run(const Trace &trace);
 
     /** Human-readable structure name ("ic", "tc", "xbc"). */
     const std::string &name() const { return root_.statName(); }
@@ -124,8 +119,8 @@ class Frontend
 
     /**
      * Attach an external stop request (typically a sig_atomic_t set
-     * by a SIGINT/SIGTERM handler; see common/signals.hh). Every run
-     * loop polls it at the cycle boundary and returns early when it
+     * by a SIGINT/SIGTERM handler; see common/signals.hh). The run
+     * loop polls it at each cycle boundary and returns early when it
      * goes nonzero, leaving metrics and observation state consistent
      * so a supervisor-terminated job still flushes usable partial
      * output. nullptr detaches.
@@ -168,10 +163,10 @@ class Frontend
 
     /**
      * Attach (or detach, with nullptr) a host-time phase profiler
-     * (src/prof). Registers this frontend's standard phase tree —
-     * fetch (legacy IC pipe), build (structure construction), array
-     * (decoded-structure delivery) — and lets the concrete frontend
-     * hook component sub-phases ("predict") via registerPhases().
+     * (src/prof). Defines the phases this frontend's loop enters —
+     * build (legacy pipe + fill) and array (decoded-structure
+     * delivery), or fetch for the IC baseline — with the legacy
+     * pipe's "predict" sub-phase below the pipe's phase.
      * Detached, every instrumented scope costs one branch.
      */
     void
@@ -179,11 +174,6 @@ class Frontend
     {
         prof_ = prof;
         phFetch_ = phBuild_ = phArray_ = PhaseProfiler::kNoPhase;
-        if (prof) {
-            phFetch_ = prof->definePhase("fetch");
-            phBuild_ = prof->definePhase("build");
-            phArray_ = prof->definePhase("array");
-        }
         registerPhases(prof);
     }
 
@@ -210,8 +200,8 @@ class Frontend
 
     /**
      * Arm a one-shot checkpoint: the first cycle boundary at or
-     * after @p cycle fires @p hook (">=", not "==": run loops may
-     * advance the cycle counter by more than one). The run then
+     * after @p cycle fires @p hook (">=", not "==": a run resumed
+     * past @p cycle fires at its first boundary). The run then
      * continues normally — cutting a live-point does not perturb
      * the simulated outcome.
      */
@@ -234,38 +224,17 @@ class Frontend
     const Status &checkpointStatus() const { return ckptStatus_; }
 
     /**
-     * Serialize the complete warm state into @p w. The base class
-     * contributes the sections every frontend shares — "stats" (the
-     * whole stat tree, including cycle/uop metrics), "attrib" (the
-     * attribution recorder) and "loop" (the parked run-loop scalars);
-     * overrides call this first and then append one frontend-specific
-     * section holding predictors, pipes, and storage structures.
+     * Serialize the complete warm state into @p w: the sections every
+     * frontend shares — "stats" (the whole stat tree, including
+     * cycle/uop metrics), "attrib" (the attribution recorder) and
+     * "loop" (the run-loop state) — then the frontend's own section
+     * (ckptSection()): the predictor bank, the legacy pipe and
+     * saveStructure()'s storage structures.
      *
      * Only valid while the run loop is parked at a cycle boundary
      * (inside a checkpoint hook) or before/after run().
      */
-    virtual void
-    saveState(CheckpointWriter &w) const
-    {
-        {
-            CkptSink sink;
-            saveStatTree(root_, sink);
-            w.addSection("stats", sink.take());
-        }
-        {
-            CkptSink sink;
-            attrib_.ckptSave(sink);
-            w.addSection("attrib", sink.take());
-        }
-        {
-            CkptSink sink;
-            sink.u64(loopState_.rec);
-            sink.u32(loopState_.mode);
-            sink.u32(loopState_.buffer);
-            sink.u32(loopState_.stall);
-            w.addSection("loop", sink.take());
-        }
-    }
+    void saveState(CheckpointWriter &w) const;
 
     /**
      * Restore warm state from a parsed checkpoint and queue the
@@ -275,117 +244,120 @@ class Frontend
      * as unusable (callers fall back to a cold start with a fresh
      * frontend, never this one).
      */
-    virtual Status
-    restoreState(const CheckpointFile &f)
-    {
-        const std::string *stats = f.section("stats");
-        if (!stats) {
-            return Status::error(StatusCode::Corrupt,
-                                 "checkpoint lacks a 'stats' section");
-        }
-        {
-            CkptSource src(*stats);
-            Status st = loadStatTree(root_, src);
-            if (!st.isOk())
-                return st;
-            if (!src.consumed()) {
-                return Status::error(
-                    StatusCode::Corrupt,
-                    "malformed checkpoint 'stats' section");
-            }
-        }
-        const std::string *attrib = f.section("attrib");
-        if (!attrib) {
-            return Status::error(
-                StatusCode::Corrupt,
-                "checkpoint lacks an 'attrib' section");
-        }
-        {
-            CkptSource src(*attrib);
-            attrib_.ckptLoad(src);
-            if (!src.consumed()) {
-                return Status::error(
-                    StatusCode::Corrupt,
-                    "malformed checkpoint 'attrib' section");
-            }
-        }
-        const std::string *loop = f.section("loop");
-        if (!loop) {
-            return Status::error(StatusCode::Corrupt,
-                                 "checkpoint lacks a 'loop' section");
-        }
-        {
-            CkptSource src(*loop);
-            RunLoopState st;
-            st.rec = src.u64();
-            st.mode = src.u32();
-            st.buffer = src.u32();
-            st.stall = src.u32();
-            if (!src.consumed()) {
-                return Status::error(
-                    StatusCode::Corrupt,
-                    "malformed checkpoint 'loop' section");
-            }
-            resume_ = st;
-        }
-        return Status::ok();
-    }
-
-    /** True when a restore is queued and the next run() will resume
-     *  mid-trace instead of cold-starting. */
-    bool hasResume() const { return resume_.has_value(); }
+    Status restoreState(const CheckpointFile &f);
     /// @}
 
   protected:
-    /** Derived frontends register component sub-phases here (e.g.
-     *  LegacyPipe's "predict" under fetch); called with nullptr on
-     *  detach so components drop their phase handles too. */
-    virtual void registerPhases(PhaseProfiler *prof) { (void)prof; }
-
-    /** Per-cycle observation hook; run loops call this right after
-     *  advancing metrics_.cycles. One branch when nothing attached. */
-    void
-    observeCycle()
+    /** Mode-FSM state of the run loop (checkpoints store it as 0/1). */
+    enum class Mode : uint32_t
     {
-        if (sampler_)
-            sampler_->tick(metrics_.cycles.value());
-        if (!observers_.empty()) {
-            for (CycleObserver *obs : observers_)
-                obs->onCycle(*this, metrics_.cycles.value());
-        }
+        Build = 0,     ///< the legacy pipe supplies; the fill unit builds
+        Delivery = 1,  ///< the decoded structure (or the IC) supplies
+    };
+
+    /**
+     * The run loop's state between cycles; a checkpoint parks and
+     * restores exactly these fields. The meanings are the same for
+     * every frontend (IC and DC never buffer: their buffer stays 0).
+     */
+    struct RunLoopState
+    {
+        std::size_t rec = 0;      ///< next trace record to supply
+        Mode mode = Mode::Build;  ///< build or delivery mode
+        unsigned buffer = 0;      ///< uops waiting for the renamer
+        unsigned stall = 0;       ///< pending fetch-silent cycles
+    };
+
+    /** What one delivery cycle did (the result of deliveryCycle()). */
+    enum class Delivery
+    {
+        Counted,    ///< a delivery cycle; the buffer then drains
+        BuildNow,   ///< missed: this cycle is the first build cycle
+        BuildNext,  ///< missed: this cycle is lost, build starts next
+    };
+
+    /// @{ Checkpoint hooks: the frontend's own section ("ic", "dc",
+    ///    "tc", "bbtc", "xbc") and the state of its structures,
+    ///    written after the predictor bank and the legacy pipe.
+    virtual const char *ckptSection() const = 0;
+    virtual void saveStructure(CkptSink &) const {}
+    virtual void loadStructure(CkptSource &) {}
+    /// @}
+
+    /// @{ Per-frontend hooks of the cycle loop.
+
+    /**
+     * Run entry, before the first cycle. @p cold: no checkpoint is
+     * being resumed, loop_ has been reset (build mode, record 0) and
+     * the fill state must be reset too; a cold start that stays in
+     * build mode then enters build with cause ColdStart.
+     */
+    virtual void
+    startRun(const Trace &trace, bool cold)
+    {
+        (void)trace;
+        (void)cold;
     }
 
     /**
-     * Checkpoint trigger, called by every run loop at the top of the
-     * cycle loop (before the cycle counter advances) with the loop's
-     * live scalars. When the armed cycle has been reached the scalars
-     * are parked in loopState_, the hook runs, and the trigger
-     * disarms; the run loop then continues unchanged.
+     * One delivery-mode cycle, not a stall bubble: supply from the
+     * decoded structure at loop_.rec, advancing loop_.rec, adding
+     * supplied uops to metrics_.deliveryUops and loop_.buffer (or
+     * straight to metrics_.renamedUops when there is no buffer), and
+     * predictor penalties to loop_.stall. A miss returns
+     * switchToBuild(cause, BuildNow or BuildNext).
      */
-    void
-    maybeCheckpoint(uint64_t rec, uint32_t mode, uint32_t buffer,
-                    uint32_t stall)
+    virtual Delivery deliveryCycle(const Trace &trace) = 0;
+
+    /** Build mode: feed record @p i, consumed by this cycle's legacy
+     *  fetch, to the fill unit (@p last: the cycle's final record);
+     *  true when that completed a fill unit. A frontend without a
+     *  build mode (the IC) keeps this default and exitBuild()'s. */
+    virtual bool fillRecord(const Trace &, std::size_t, bool)
     {
-        if (!ckptArmed_ || metrics_.cycles.value() < ckptAt_)
-            return;
-        ckptArmed_ = false;
-        loopState_.rec = rec;
-        loopState_.mode = mode;
-        loopState_.buffer = buffer;
-        loopState_.stall = stall;
-        ckptTaken_ = true;
-        if (ckptHook_)
-            ckptStatus_ = ckptHook_(*this);
+        return false;
     }
 
-    /** Consume the queued resume point (run() entry: present after a
-     *  successful restoreState, in place of cold-start init). */
-    std::optional<RunLoopState>
-    takeResume()
+    /** End of a build cycle: true to resume delivery at record
+     *  @p rec next cycle. @p completed: some fillRecord() of this
+     *  cycle returned true. */
+    virtual bool exitBuild(const Trace &, std::size_t rec,
+                           bool completed)
     {
-        std::optional<RunLoopState> r = std::move(resume_);
-        resume_.reset();
-        return r;
+        (void)rec;
+        (void)completed;
+        return false;
+    }
+
+    /** Whether the pending stall still counts once the trace has
+     *  run out (the IC's last fetch bubble) or is dropped when the
+     *  last uop leaves the buffer (the decoded structures). */
+    virtual bool countsTrailingStall() const { return false; }
+
+    /** Define the profiler phases the loop enters (see
+     *  attachProfiler); called with nullptr on detach. */
+    virtual void
+    registerPhases(PhaseProfiler *prof)
+    {
+        if (prof) {
+            phBuild_ = prof->definePhase("build");
+            phArray_ = prof->definePhase("array");
+        }
+        // The legacy pipe runs as the build path.
+        pipe_.attachProfiler(prof, phBuild_);
+    }
+
+    /// @}
+
+    /** Delivery-to-build switch on a delivery miss: count it, latch
+     *  the build cause, and return @p when for deliveryCycle(). */
+    Delivery
+    switchToBuild(Cause cause, Delivery when)
+    {
+        ++metrics_.modeSwitches;
+        attrib_.enterBuild(cause);
+        loop_.mode = Mode::Build;
+        return when;
     }
 
     /** Report a delivered record to the oracle, if attached. See
@@ -400,16 +372,52 @@ class Frontend
         }
     }
 
+  private:
+    /** The shared build cycle: one legacy fetch, each consumed record
+     *  handed to the oracle and fillRecord(), then exitBuild(). */
+    void buildCycle(const Trace &trace);
+
+    /** Per-cycle observation; the loop calls this right after
+     *  advancing metrics_.cycles. One branch when nothing attached. */
+    void
+    observeCycle()
+    {
+        if (sampler_)
+            sampler_->tick(metrics_.cycles.value());
+        if (!observers_.empty()) {
+            for (CycleObserver *obs : observers_)
+                obs->onCycle(*this, metrics_.cycles.value());
+        }
+    }
+
     /**
-     * Mode-FSM timeline: open a slice named @p label (a string
-     * literal: "build" / "delivery"), closing the previous one.
-     * Call once per cycle with the current mode; consecutive
-     * same-label calls are free.
+     * Checkpoint trigger, called at the top of the cycle loop (before
+     * the cycle counter advances). When the armed cycle has been
+     * reached the hook runs with loop_ parked at this cycle boundary
+     * and the trigger disarms; the loop then continues unchanged.
      */
     void
-    traceMode(const char *label)
+    maybeCheckpoint()
     {
-        if (modeLabel_ && std::strcmp(modeLabel_, label) == 0)
+        if (!ckptArmed_ || metrics_.cycles.value() < ckptAt_)
+            return;
+        ckptArmed_ = false;
+        ckptTaken_ = true;
+        if (ckptHook_)
+            ckptStatus_ = ckptHook_(*this);
+    }
+
+    /**
+     * Mode-FSM timeline: open a slice named after @p mode ("build" /
+     * "delivery"), closing the previous one. Called once per cycle;
+     * consecutive same-mode calls cost one pointer compare.
+     */
+    void
+    traceMode(Mode mode)
+    {
+        static constexpr const char *kLabels[] = {"build", "delivery"};
+        const char *label = kLabels[(uint32_t)mode];
+        if (label == modeLabel_)
             return;
         if (modeProbe_.enabled()) {
             if (modeLabel_)
@@ -435,13 +443,17 @@ class Frontend
     const char *modeLabel() const { return modeLabel_; }
 
   protected:
-
     StatGroup root_;
     FrontendMetrics metrics_;
     FrontendParams params_;
     ProbeManager probes_;
     ProbePoint modeProbe_{&probes_, "mode", "mode"};
     AttribRecorder attrib_{&root_, &probes_};
+    PredictorBank preds_;
+    LegacyPipe pipe_;
+
+    /** The run loop's state; parked/restored by checkpoints. */
+    RunLoopState loop_;
 
     /// @{ Host-time profiling (null/kNoPhase when detached).
     PhaseProfiler *prof_ = nullptr;
@@ -450,12 +462,9 @@ class Frontend
     unsigned phArray_ = PhaseProfiler::kNoPhase;
     /// @}
 
-    /// @{ Checkpoint plumbing (see armCheckpoint/maybeCheckpoint).
-    RunLoopState loopState_;
-    std::optional<RunLoopState> resume_;
-    /// @}
-
   private:
+    /** restoreState() set loop_; the next run() resumes from it. */
+    bool resumePending_ = false;
     uint64_t ckptAt_ = 0;
     CkptHook ckptHook_;
     bool ckptArmed_ = false;

@@ -1,4 +1,4 @@
-#include "ic/inst_cache.hh"
+#include "frontend/inst_cache.hh"
 
 #include "ckpt/serial.hh"
 #include "common/bitops.hh"

@@ -6,8 +6,8 @@
  * since the simulator never needs the actual bytes.
  */
 
-#ifndef XBS_IC_INST_CACHE_HH
-#define XBS_IC_INST_CACHE_HH
+#ifndef XBS_FRONTEND_INST_CACHE_HH
+#define XBS_FRONTEND_INST_CACHE_HH
 
 #include <cstdint>
 #include <vector>
@@ -74,4 +74,4 @@ class InstCache
 
 } // namespace xbs
 
-#endif // XBS_IC_INST_CACHE_HH
+#endif // XBS_FRONTEND_INST_CACHE_HH

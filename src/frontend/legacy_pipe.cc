@@ -1,4 +1,4 @@
-#include "ic/legacy_pipe.hh"
+#include "frontend/legacy_pipe.hh"
 
 #include "frontend/control.hh"
 

@@ -4,24 +4,25 @@
  * fetch followed by variable-length decode.
  *
  * This engine is both the IC baseline frontend's supply path and the
- * build-mode path of the TC and XBC frontends. One call to cycle()
+ * build-mode path of the DC, TC, BBTC and XBC frontends; the Frontend
+ * base class owns it. One call to cycle()
  * models one fetch cycle: a single sequential run of instructions
  * from the IC (single-ported: fetch ends at the first taken
  * transfer), bounded by the decode width and uop emission caps, with
  * penalty cycles reported for IC misses and mispredictions.
  */
 
-#ifndef XBS_IC_LEGACY_PIPE_HH
-#define XBS_IC_LEGACY_PIPE_HH
+#ifndef XBS_FRONTEND_LEGACY_PIPE_HH
+#define XBS_FRONTEND_LEGACY_PIPE_HH
 
 #include <cstddef>
 
 #include "attrib/recorder.hh"
 #include "common/probe.hh"
+#include "frontend/inst_cache.hh"
 #include "frontend/metrics.hh"
 #include "frontend/params.hh"
 #include "frontend/predictors.hh"
-#include "ic/inst_cache.hh"
 #include "isa/decoder.hh"
 #include "prof/phase_profiler.hh"
 #include "trace/trace.hh"
@@ -128,4 +129,4 @@ class LegacyPipe
 
 } // namespace xbs
 
-#endif // XBS_IC_LEGACY_PIPE_HH
+#endif // XBS_FRONTEND_LEGACY_PIPE_HH

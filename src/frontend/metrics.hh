@@ -1,6 +1,7 @@
 /**
  * @file
- * Frontend metrics, shared across the IC, TC, and XBC frontends so
+ * Frontend metrics, shared across all five frontends (IC, DC, TC,
+ * BBTC, XBC) and charged by the one cycle loop in Frontend::run, so
  * the bench harnesses can compare them uniformly.
  *
  * The two headline metrics of the paper:

@@ -10,37 +10,32 @@
 #define XBS_IC_IC_FRONTEND_HH
 
 #include "frontend/frontend.hh"
-#include "frontend/predictors.hh"
-#include "ic/legacy_pipe.hh"
 
 namespace xbs
 {
 
-class IcFrontend : public Frontend
+class IcFrontend final : public Frontend
 {
   public:
     explicit IcFrontend(const FrontendParams &params);
 
-    void run(const Trace &trace) override;
-
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
-
-    const PredictorBank &predictors() const { return preds_; }
-    const InstCache &icache() const { return pipe_.icache(); }
-
-  protected:
-    void
-    registerPhases(PhaseProfiler *prof) override
-    {
-        pipe_.attachProfiler(prof, phFetch_);
-    }
-
   private:
-    PredictorBank preds_;
-    LegacyPipe pipe_;
+    /** The "ic" section holds only the predictor bank and the pipe. */
+    const char *ckptSection() const override { return "ic"; }
+
+    /// @{ Cycle-loop hooks: the IC never leaves delivery mode; its
+    ///    delivery cycle is one legacy fetch.
+    void
+    startRun(const Trace &, bool) override
+    {
+        // Also on resume: an IC checkpoint may record mode 0 (build),
+        // which the IC does not have.
+        loop_.mode = Mode::Delivery;
+    }
+    Delivery deliveryCycle(const Trace &trace) override;
+    bool countsTrailingStall() const override { return true; }
+    void registerPhases(PhaseProfiler *prof) override;
+    /// @}
 };
 
 } // namespace xbs

@@ -8,13 +8,11 @@ namespace xbs
 
 TcFrontend::TcFrontend(const FrontendParams &params,
                        const TcParams &tc_params)
-    : Frontend("tc", params), tcParams_(tc_params), preds_(params_),
-      pipe_(params_, metrics_, preds_, &probes_),
+    : Frontend("tc", params), tcParams_(tc_params),
       tc_(tc_params.capacityUops, tc_params.ways, tc_params.limits,
           &root_, &probes_),
       fill_(tc_params.limits)
 {
-    pipe_.attachAttrib(&attrib_);
 }
 
 const TraceLine *
@@ -108,170 +106,71 @@ TcFrontend::supplyLine(const Trace &trace, const TraceLine &line,
 }
 
 void
-TcFrontend::saveState(CheckpointWriter &w) const
+TcFrontend::saveStructure(CkptSink &sink) const
 {
-    Frontend::saveState(w);
-    CkptSink sink;
-    preds_.ckptSave(sink);
-    pipe_.ckptSave(sink);
     tc_.ckptSave(sink);
     fill_.ckptSave(sink);
     sink.u64(partialHitUops_);
-    w.addSection("tc", sink.take());
-}
-
-Status
-TcFrontend::restoreState(const CheckpointFile &f)
-{
-    Status st = Frontend::restoreState(f);
-    if (!st.isOk())
-        return st;
-    const std::string *sec = f.section("tc");
-    if (!sec) {
-        return Status::error(StatusCode::Corrupt,
-                             "checkpoint lacks a 'tc' section");
-    }
-    CkptSource src(*sec);
-    preds_.ckptLoad(src);
-    pipe_.ckptLoad(src);
-    tc_.ckptLoad(src);
-    fill_.ckptLoad(src);
-    partialHitUops_ = src.u64();
-    if (!src.consumed()) {
-        return Status::error(StatusCode::Corrupt,
-                             "malformed checkpoint 'tc' section");
-    }
-    return Status::ok();
 }
 
 void
-TcFrontend::run(const Trace &trace)
+TcFrontend::loadStructure(CkptSource &src)
 {
-    const std::size_t num_records = trace.numRecords();
-    std::size_t rec = 0;
-    Mode mode = Mode::Build;
-    unsigned buffer = 0;   // undelivered uops sitting in the XBQ-like
-                           // fetch buffer, drained 8/cycle
-    unsigned stall = 0;
-    if (auto resume = takeResume()) {
-        rec = (std::size_t)resume->rec;
-        mode = resume->mode ? Mode::Delivery : Mode::Build;
-        buffer = resume->buffer;
-        stall = resume->stall;
-    } else {
+    tc_.ckptLoad(src);
+    fill_.ckptLoad(src);
+    partialHitUops_ = src.u64();
+}
+
+void
+TcFrontend::startRun(const Trace &, bool cold)
+{
+    if (cold)
         fill_.restart();
-        attrib_.enterBuild(Cause::ColdStart);
+}
+
+Frontend::Delivery
+TcFrontend::deliveryCycle(const Trace &trace)
+{
+    if (loop_.buffer >= params_.renamerWidth ||
+        loop_.rec >= trace.numRecords()) {
+        return Delivery::Counted;
     }
-
-    while ((rec < num_records || buffer > 0) && !stopRequested()) {
-        maybeCheckpoint(rec, mode == Mode::Delivery ? 1 : 0, buffer,
-                        stall);
-        ++metrics_.cycles;
-        metrics_.traceRecords.set(rec);
-        observeCycle();
-        traceMode(mode == Mode::Build ? "build" : "delivery");
-
-        if (stall > 0) {
-            // Fetch-silent bubble; the buffer keeps draining, but
-            // neither the uops nor the cycle count toward the
-            // steady-state bandwidth metric.
-            --stall;
-            ++metrics_.stallCycles;
-            attrib_.chargeSilentCycle();
-            buffer -= std::min(buffer, params_.renamerWidth);
-            continue;
-        }
-
-        if (mode == Mode::Delivery) {
-            ++metrics_.deliveryCycles;
-
-            if (buffer < params_.renamerWidth && rec < num_records) {
-                ScopedPhase arrayTimer(prof_, phArray_);
-                const TraceLine *line = selectLine(trace, rec);
-                if (line) {
-                    std::size_t prev = rec;
-                    unsigned got =
-                        supplyLine(trace, *line, rec, stall);
-                    metrics_.deliveryUops += got;
-                    buffer += got;
-                    if (tcParams_.buildInDelivery) {
-                        // [Frie97]-style alternative fill policy:
-                        // keep (re)building traces from the supplied
-                        // stream so partial-hit paths get their own
-                        // traces without a build-mode excursion.
-                        for (std::size_t i = prev; i < rec; ++i) {
-                            fill_.feed(trace, i,
-                                       [&](const TraceLine &l) {
-                                           tc_.insert(
-                                               l, trace.code(),
-                                               tcParams_
-                                                   .pathAssociative);
-                                       });
-                        }
-                    }
-                } else if (buffer == 0) {
-                    mode = Mode::Build;
-                    ++metrics_.modeSwitches;
-                    fill_.restart();
-                    attrib_.enterBuild(Cause::StructMiss);
-                    // This cycle becomes the first build cycle.
-                    --metrics_.deliveryCycles;
-                    ++metrics_.buildCycles;
-                    attrib_.chargeBuildCycle();
-                    std::size_t prev = rec;
-                    ScopedPhase buildTimer(prof_, phBuild_);
-                    LegacyPipe::Result r = pipe_.cycle(trace, rec);
-                    metrics_.buildUops += r.uops;
-                    attrib_.chargeBuildUops(r.uops);
-                    stall += r.stall;
-                    bool completed = false;
-                    for (std::size_t i = prev; i < rec; ++i) {
-                        oracleConsume(i, kNoTarget, 0);
-                        completed |= fill_.feed(
-                            trace, i, [&](const TraceLine &l) {
-                                tc_.insert(l, trace.code(),
-                                           tcParams_.pathAssociative);
-                            });
-                    }
-                    if (completed && rec < num_records &&
-                        tc_.lookup(trace.inst(rec).ip)) {
-                        mode = Mode::Delivery;
-                    }
-                    continue;
-                }
-            }
-            {
-                unsigned drained =
-                    std::min(buffer, params_.renamerWidth);
-                metrics_.renamedUops += drained;
-                buffer -= drained;
-            }
-        } else {
-            ++metrics_.buildCycles;
-            attrib_.chargeBuildCycle();
-            std::size_t prev = rec;
-            ScopedPhase buildTimer(prof_, phBuild_);
-            LegacyPipe::Result r = pipe_.cycle(trace, rec);
-            metrics_.buildUops += r.uops;
-            attrib_.chargeBuildUops(r.uops);
-            stall += r.stall;
-            bool completed = false;
-            for (std::size_t i = prev; i < rec; ++i) {
-                oracleConsume(i, kNoTarget, 0);
-                completed |= fill_.feed(
-                    trace, i, [&](const TraceLine &l) {
-                        tc_.insert(l, trace.code(),
-                                   tcParams_.pathAssociative);
-                    });
-            }
-            if (completed && rec < num_records &&
-                tc_.lookup(trace.inst(rec).ip)) {
-                mode = Mode::Delivery;
-            }
-        }
+    ScopedPhase arrayTimer(prof_, phArray_);
+    const TraceLine *line = selectLine(trace, loop_.rec);
+    if (!line) {
+        if (loop_.buffer > 0)
+            return Delivery::Counted;
+        fill_.restart();
+        return switchToBuild(Cause::StructMiss, Delivery::BuildNow);
     }
-    metrics_.traceRecords.set(rec);
-    traceModeDone();
+    const std::size_t first = loop_.rec;
+    unsigned got = supplyLine(trace, *line, loop_.rec, loop_.stall);
+    metrics_.deliveryUops += got;
+    loop_.buffer += got;
+    if (tcParams_.buildInDelivery) {
+        // [Frie97]-style alternative fill policy: keep (re)building
+        // traces from the supplied stream so partial-hit paths get
+        // their own traces without a build-mode excursion.
+        for (std::size_t i = first; i < loop_.rec; ++i)
+            fillRecord(trace, i, i + 1 == loop_.rec);
+    }
+    return Delivery::Counted;
+}
+
+bool
+TcFrontend::fillRecord(const Trace &trace, std::size_t i, bool)
+{
+    return fill_.feed(trace, i, [&](const TraceLine &l) {
+        tc_.insert(l, trace.code(), tcParams_.pathAssociative);
+    });
+}
+
+bool
+TcFrontend::exitBuild(const Trace &trace, std::size_t rec,
+                      bool completed)
+{
+    return completed && rec < trace.numRecords() &&
+           tc_.lookup(trace.inst(rec).ip);
 }
 
 } // namespace xbs

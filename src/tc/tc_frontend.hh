@@ -10,8 +10,6 @@
 #define XBS_TC_TC_FRONTEND_HH
 
 #include "frontend/frontend.hh"
-#include "frontend/predictors.hh"
-#include "ic/legacy_pipe.hh"
 #include "tc/fill_unit.hh"
 #include "tc/trace_cache.hh"
 
@@ -39,17 +37,10 @@ struct TcParams
     bool pathAssociative = false;
 };
 
-class TcFrontend : public Frontend
+class TcFrontend final : public Frontend
 {
   public:
     TcFrontend(const FrontendParams &params, const TcParams &tc_params);
-
-    void run(const Trace &trace) override;
-
-    /// @{ Warm-state checkpoint/restore (src/ckpt).
-    void saveState(CheckpointWriter &w) const override;
-    Status restoreState(const CheckpointFile &f) override;
-    /// @}
 
     const TraceCache &cache() const { return tc_; }
     const TcParams &tcParams() const { return tcParams_; }
@@ -57,16 +48,21 @@ class TcFrontend : public Frontend
     /** Uops supplied by partially matching traces. */
     uint64_t partialHitUops() const { return partialHitUops_; }
 
-  protected:
-    void
-    registerPhases(PhaseProfiler *prof) override
-    {
-        // The legacy pipe runs as this frontend's build path.
-        pipe_.attachProfiler(prof, phBuild_);
-    }
-
   private:
-    enum class Mode { Build, Delivery };
+    /// @{ Checkpoint hooks: the "tc" section's structures.
+    const char *ckptSection() const override { return "tc"; }
+    void saveStructure(CkptSink &sink) const override;
+    void loadStructure(CkptSource &src) override;
+    /// @}
+
+    /// @{ Cycle-loop hooks.
+    void startRun(const Trace &trace, bool cold) override;
+    Delivery deliveryCycle(const Trace &trace) override;
+    bool fillRecord(const Trace &trace, std::size_t i,
+                    bool last) override;
+    bool exitBuild(const Trace &trace, std::size_t rec,
+                   bool completed) override;
+    /// @}
 
     /**
      * Supply one resident trace line along the actual path.
@@ -80,8 +76,6 @@ class TcFrontend : public Frontend
     const TraceLine *selectLine(const Trace &trace, std::size_t rec);
 
     TcParams tcParams_;
-    PredictorBank preds_;
-    LegacyPipe pipe_;
     TraceCache tc_;
     TcFillUnit fill_;
     uint64_t partialHitUops_ = 0;

@@ -216,22 +216,34 @@ specFor(const char *flag)
 }
 
 // The tentpole guarantee, per frontend: a run restored from a
-// mid-run checkpoint finishes with BIT-IDENTICAL metrics (headline
-// numbers at full precision, the attribution report, and the entire
-// stat tree) and passes the post-restore structural audit.
+// checkpoint finishes with BIT-IDENTICAL metrics (headline numbers at
+// full precision, the attribution report, and the entire stat tree)
+// and passes the post-restore structural audit. Cuts span the run:
+// before and after the first cycle, early, mid-run, and within the
+// last 100 cycles, so the parked loop state (mode, buffer, stall) is
+// exercised at the cold start and near the drain.
 TEST(CkptDivergence, RestoreIsBitExactOnEveryFrontend)
 {
     const Trace trace = makeCatalogTrace("gcc", 30000);
     for (const FrontendCase &fc : allFrontends()) {
-        Expected<DivergenceReport> rep = runDivergenceOracle(
-            fc.config, specFor(fc.flag), trace, 2000);
-        ASSERT_TRUE(rep.ok())
-            << fc.flag << ": " << rep.status().toString();
-        EXPECT_EQ(rep.value().auditViolations, 0u) << fc.flag;
-        EXPECT_TRUE(rep.value().identical)
-            << fc.flag << " diverged: " << rep.value().detail;
-        EXPECT_GE(rep.value().cutCycle, 2000u) << fc.flag;
-        EXPECT_GT(rep.value().checkpointBytes, 0u) << fc.flag;
+        auto cold = makeFrontend(fc.config);
+        cold->run(trace);
+        const uint64_t total = cold->metrics().cycles.value();
+        ASSERT_GT(total, 4000u) << fc.flag;
+        for (uint64_t at : {uint64_t{0}, uint64_t{1}, uint64_t{2000},
+                            total / 2, total - 50}) {
+            Expected<DivergenceReport> rep = runDivergenceOracle(
+                fc.config, specFor(fc.flag), trace, at);
+            ASSERT_TRUE(rep.ok()) << fc.flag << "@" << at << ": "
+                                  << rep.status().toString();
+            EXPECT_EQ(rep.value().auditViolations, 0u)
+                << fc.flag << "@" << at;
+            EXPECT_TRUE(rep.value().identical)
+                << fc.flag << "@" << at
+                << " diverged: " << rep.value().detail;
+            EXPECT_EQ(rep.value().cutCycle, at) << fc.flag;
+            EXPECT_GT(rep.value().checkpointBytes, 0u) << fc.flag;
+        }
     }
 }
 

@@ -8,8 +8,8 @@
 
 #include "frontend/predictors.hh"
 #include "ic/ic_frontend.hh"
-#include "ic/inst_cache.hh"
-#include "ic/legacy_pipe.hh"
+#include "frontend/inst_cache.hh"
+#include "frontend/legacy_pipe.hh"
 #include "test_helpers.hh"
 #include "workload/catalog.hh"
 

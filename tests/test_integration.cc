@@ -1,11 +1,16 @@
 /**
  * @file
  * Cross-module integration tests: the paper's headline relationships
- * must hold end-to-end on catalog workloads for all three frontends,
- * across a parameterized sample of the catalog.
+ * must hold end-to-end on catalog workloads for all five frontends,
+ * across a parameterized sample of the catalog; the shared cycle
+ * loop must reproduce pinned exact counters and honour the stop
+ * flag on every frontend.
  */
 
 #include <gtest/gtest.h>
+
+#include <array>
+#include <csignal>
 
 #include "bbtc/bbtc_frontend.hh"
 #include "core/xbc_frontend.hh"
@@ -245,6 +250,117 @@ TEST(Determinism, HostProfilingNeverPerturbsPaperMetrics)
             << frontendKindName(kind);
         EXPECT_EQ(a.missRate(), b.missRate())
             << frontendKindName(kind);
+    }
+}
+
+/** One frontend configuration and its exact end-of-run counters. */
+struct PinnedRun
+{
+    const char *name;
+    SimConfig config;
+    /// cycles, deliveryCycles, buildCycles, stallCycles,
+    /// deliveryUops, buildUops, renamedUops, modeSwitches,
+    /// traceRecords
+    std::array<uint64_t, 9> counters;
+};
+
+SimConfig
+tcWithAlternativeFill()
+{
+    SimConfig c = SimConfig::tcBaseline(8192, 2);
+    c.tc.buildInDelivery = true;
+    c.tc.pathAssociative = true;
+    return c;
+}
+
+// Recorded on gcc (30K instructions) from the five per-frontend
+// run() loops that preceded the shared Frontend::run. The loop
+// refactor had to reproduce every one of these exactly.
+std::vector<PinnedRun>
+pinnedRuns()
+{
+    return {
+        {"ic", SimConfig::icBaseline(),
+         {23054, 11873, 0, 11181, 49215, 0, 49215, 0, 30000}},
+        {"dc", SimConfig::dcBaseline(8192),
+         {23119, 8927, 3011, 11181, 38115, 11100, 38115, 1955, 30000}},
+        {"tc", SimConfig::tcBaseline(8192, 2),
+         {18382, 5430, 1774, 11178, 42777, 6438, 42041, 104, 30000}},
+        {"tc+bid+pa", tcWithAlternativeFill(),
+         {18332, 5386, 1768, 11178, 42803, 6412, 41944, 108, 30000}},
+        {"bbtc", SimConfig::bbtcBaseline(8192),
+         {18098, 5191, 1666, 11172, 43217, 5998, 40774, 69, 30000}},
+        {"xbc", SimConfig::xbcBaseline(8192, 2),
+         {18050, 5716, 997, 11337, 45897, 3318, 44921, 94, 30000}},
+    };
+}
+
+TEST(PinnedCounters, ExactOnEveryFrontend)
+{
+    const Trace trace = makeCatalogTrace("gcc", 30000);
+    for (const PinnedRun &r : pinnedRuns()) {
+        auto fe = makeFrontend(r.config);
+        fe->run(trace);
+        const FrontendMetrics &m = fe->metrics();
+        const std::array<uint64_t, 9> got = {
+            m.cycles.value(),       m.deliveryCycles.value(),
+            m.buildCycles.value(),  m.stallCycles.value(),
+            m.deliveryUops.value(), m.buildUops.value(),
+            m.renamedUops.value(),  m.modeSwitches.value(),
+            m.traceRecords.value()};
+        EXPECT_EQ(got, r.counters) << r.name;
+
+        // Mode-switch timing: the BBTC loses the cycle of each
+        // delivery->build switch; every other frontend turns it into
+        // a build cycle, so its cycles split exactly.
+        uint64_t lost = m.cycles.value() - m.deliveryCycles.value() -
+                        m.buildCycles.value() - m.stallCycles.value();
+        EXPECT_EQ(lost, fe->name() == "bbtc" ? m.modeSwitches.value()
+                                             : 0u)
+            << r.name;
+    }
+}
+
+/** Raises its stop flag once the cycle counter reaches @p at. */
+class StopAtCycle : public CycleObserver
+{
+  public:
+    explicit StopAtCycle(uint64_t at) : at_(at) {}
+
+    void
+    onCycle(Frontend &, uint64_t cycle) override
+    {
+        if (cycle >= at_)
+            flag = 1;
+    }
+
+    volatile std::sig_atomic_t flag = 0;
+
+  private:
+    uint64_t at_;
+};
+
+TEST(StopFlag, EveryFrontendReturnsAtTheRaisedCycle)
+{
+    // The stop poll runs after each whole cycle: the run returns
+    // with the raising cycle complete, the trace unfinished, and the
+    // metrics covering exactly the records it consumed.
+    const Trace trace = makeCatalogTrace("gcc", 50000);
+    for (const PinnedRun &r : pinnedRuns()) {
+        StopAtCycle stop(5000);
+        auto fe = makeFrontend(r.config);
+        fe->attachStopFlag(&stop.flag);
+        fe->attachCycleObserver(&stop);
+        fe->run(trace);
+        const FrontendMetrics &m = fe->metrics();
+        EXPECT_EQ(m.cycles.value(), 5000u) << r.name;
+        ASSERT_LT(m.traceRecords.value(), trace.numRecords())
+            << r.name;
+        uint64_t uops = 0;
+        for (uint64_t i = 0; i < m.traceRecords.value(); ++i)
+            uops += trace.inst(i).numUops;
+        EXPECT_EQ(m.deliveryUops.value() + m.buildUops.value(), uops)
+            << r.name;
     }
 }
 

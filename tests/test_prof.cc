@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the host-performance profiling layer: sampled phase
- * timing (including the <=2% overhead budget of --profile),
- * rusage/throughput counters, build-provenance round trips, the
- * sweep-to-bench.json aggregation with its torn/missing interval
- * degradation, and the regression gate's verdict taxonomy.
+ * timing (including the <=2% overhead budget of --profile) and the
+ * phase rows each frontend defines, rusage/throughput counters,
+ * build-provenance round trips, the sweep-to-bench.json aggregation
+ * with its torn/missing interval degradation, and the regression
+ * gate's verdict taxonomy.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,10 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <time.h>
@@ -28,6 +32,8 @@
 #include "prof/host_counters.hh"
 #include "prof/perf_counters.hh"
 #include "prof/phase_profiler.hh"
+#include "sim/config.hh"
+#include "workload/catalog.hh"
 
 using namespace xbs;
 
@@ -116,6 +122,41 @@ TEST(PhaseProfiler, ScopedPhaseAccumulates)
     const PhaseProfiler::Phase &p = prof.phases()[id];
     EXPECT_EQ(p.calls, 100u);
     EXPECT_EQ(p.sampledCalls, 100u);
+}
+
+// A frontend defines only the phases its cycle loop enters: the IC
+// fetches through the legacy pipe ("fetch"), the decoded-structure
+// frontends build through it ("build") and deliver from their
+// structure ("array"). A phase row with 0 calls would be noise.
+TEST(PhaseProfiler, FrontendsReportOnlyPhasesTheyEnter)
+{
+    const Trace trace = makeCatalogTrace("gcc", 20000);
+    const std::vector<std::pair<SimConfig, std::vector<std::string>>>
+        cases = {
+            {SimConfig::icBaseline(), {"fetch", "predict"}},
+            {SimConfig::dcBaseline(8192), {"build", "array", "predict"}},
+            {SimConfig::tcBaseline(8192, 2),
+             {"build", "array", "predict"}},
+            {SimConfig::bbtcBaseline(8192),
+             {"build", "array", "predict"}},
+            {SimConfig::xbcBaseline(8192, 2),
+             {"build", "array", "predict"}},
+        };
+    for (const auto &[config, expected] : cases) {
+        PhaseProfiler prof;
+        std::unique_ptr<Frontend> fe = makeFrontend(config);
+        fe->attachProfiler(&prof);
+        fe->run(trace);
+        std::vector<std::string> names;
+        for (const PhaseProfiler::Phase &p : prof.phases()) {
+            names.push_back(p.name);
+            EXPECT_GT(p.calls, 0u) << fe->name() << ": " << p.name;
+        }
+        std::sort(names.begin(), names.end());
+        std::vector<std::string> want = expected;
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(names, want) << fe->name();
+    }
 }
 
 TEST(PhaseProfiler, JsonAndRenderCarryPhases)
